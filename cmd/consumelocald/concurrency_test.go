@@ -85,10 +85,33 @@ func TestQuotaBurstConcurrentCreates(t *testing.T) {
 // diagnosis) while the stream itself stays usable: the accepted
 // sessions form a non-decreasing sequence the replay completes over.
 // This is the server half of the loadtest's racing-producer workload.
+// On a durable daemon the journal must also hold the accepted sessions
+// in the order they landed: a restart from it as a crash leaves it
+// resumes the stream with exactly the client-accepted count, and
+// finishes to the live job's result.
 func TestIngestRacingProducers(t *testing.T) {
-	const producers, batches = 8, 6
-	ts := httptest.NewServer(newServer(0).routes())
-	defer ts.Close()
+	for _, durable := range []bool{false, true} {
+		name := "memory"
+		if durable {
+			name = "durable"
+		}
+		t.Run(name, func(t *testing.T) { testIngestRacingProducers(t, durable) })
+	}
+}
+
+func testIngestRacingProducers(t *testing.T, durable bool) {
+	// Batches are long enough that concurrent pushes interleave session
+	// by session, which is what used to split journal order from push
+	// order.
+	const producers, batches, rows = 8, 6, 50
+	dir := t.TempDir()
+	var ts *httptest.Server
+	if durable {
+		_, ts = durableServer(t, dir, 0)
+	} else {
+		ts = httptest.NewServer(newServer(0).routes())
+		defer ts.Close()
+	}
 
 	_, v := postJob(t, ingestURL(ts.URL, ""))
 	url := fmt.Sprintf("%s/v1/jobs/%d/sessions", ts.URL, v.ID)
@@ -104,10 +127,10 @@ func TestIngestRacingProducers(t *testing.T) {
 				// starts p*100+b*50±…, so later producers' early batches
 				// regress behind earlier producers' later ones.
 				start := int64(p*100 + b*50)
-				resp, out := postSessions(t, url, "text/csv", sessionRows(start, 3))
+				resp, out := postSessions(t, url, "text/csv", sessionRows(start, rows))
 				switch resp.StatusCode {
 				case http.StatusOK:
-					accepted.Add(3)
+					accepted.Add(rows)
 				case http.StatusConflict:
 					// Partial batches report their landed prefix.
 					if n, ok := out["pushed"].(float64); ok {
@@ -137,11 +160,16 @@ func TestIngestRacingProducers(t *testing.T) {
 
 	// The stream survived the contention: it seals and drains normally,
 	// with the final snapshot accounting for exactly the accepted set.
-	if resp, err := http.Post(fmt.Sprintf("%s/v1/jobs/%d/finish", ts.URL, v.ID), "", nil); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("finish = %v %d, want 200", err, resp.StatusCode)
+	var crashDir string
+	if durable {
+		crashDir = crashCopy(t, dir)
 	}
+	want := finishEnergy(t, ts.URL, v.ID)
 	final := pollJobStatus(t, ts.URL, v.ID, "done")
 	if final.Snapshot.SessionsSeen != accepted.Load() {
 		t.Fatalf("replay saw %d sessions, clients had %d accepted", final.Snapshot.SessionsSeen, accepted.Load())
+	}
+	if durable {
+		checkResumed(t, crashDir, v.ID, accepted.Load(), want)
 	}
 }

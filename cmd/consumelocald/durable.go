@@ -1,12 +1,9 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/url"
-	"strings"
 	"time"
 
 	"consumelocal"
@@ -105,7 +102,6 @@ func (s *server) openDurability(dataDir string) error {
 		s.met.recoveryJobs.With1("dropped").Inc()
 		_ = store.Delete(st.ID)
 	}
-	resumed := make(map[int]bool)
 	for _, st := range states[keepFrom:] {
 		j, outcome := s.recoverJob(st)
 		s.jobs[j.id] = j
@@ -114,7 +110,6 @@ func (s *server) openDurability(dataDir string) error {
 			info.Restored++
 		case "resumed":
 			info.Resumed++
-			resumed[j.id] = true
 		case "resume_failed":
 			info.ResumeFailed++
 		case "interrupted":
@@ -130,30 +125,21 @@ func (s *server) openDurability(dataDir string) error {
 		s.nextID = rec.MaxID + 1
 	}
 
-	// Compact: the journal shrinks to one checkpoint (carrying the
-	// aggregate totals forward) plus a created+finished pair per settled
-	// job — and, for a resumed job, its journalled created record and
-	// full batch tail, so the stream stays resumable across the next
-	// crash too. Tail sessions are subtracted from the checkpoint (they
-	// re-count when the tail replays), keeping the totals exact.
-	recs := make([]joblog.Record, 0, 1+2*len(s.jobs))
-	recs = append(recs, joblog.Record{Type: joblog.TypeCheckpoint, Sessions: rec.Sessions, Batches: rec.Batches})
+	// Compact (joblog.CompactionPlan): one checkpoint carrying the
+	// aggregate totals forward, a resumed job's journalled created record
+	// and full batch tail — so the stream stays resumable across the next
+	// crash too — and every other job reduced to its recovered state, a
+	// created+finished pair.
 	for _, st := range states[keepFrom:] {
-		j := s.jobs[st.ID]
-		if resumed[st.ID] {
-			recs = append(recs, *st.Created)
-			for _, t := range st.Tail {
-				if t.Type == joblog.TypeBatch {
-					recs[0].Sessions -= t.Sessions
-					recs[0].Batches--
-				}
-				recs = append(recs, t)
-			}
-			continue
+		if j := s.jobs[st.ID]; j.ingest == nil {
+			created, v := s.createdRecord(j), j.view()
+			st.Created = &created
+			st.Status, st.Error, st.Snapshots = v.Status, v.Error, v.Snapshots
+			st.Sessions, st.Watermark = v.Pushed, v.Watermark
 		}
-		recs = append(recs, s.createdRecord(j), s.finishedRecord(j))
 	}
-	if err := jl.Rewrite(recs); err != nil {
+	rec.Jobs = states[keepFrom:]
+	if err := jl.Rewrite(joblog.CompactionPlan(rec)); err != nil {
 		return fmt.Errorf("compact journal: %w", err)
 	}
 	s.compactFloor.Store(jl.Size())
@@ -226,145 +212,28 @@ func (s *server) recoverJob(st *joblog.JobState) (*job, string) {
 	default:
 		// No terminal record: the daemon died while this job ran. An
 		// ingest job whose journal carries its creation query and full
-		// batch payloads is rebuilt live — re-fed deterministically from
-		// the journal, the producer none the wiser. Anything else (or a
-		// resume that fails) is failed loudly, as before.
+		// batch payloads is rebuilt live through the same constructor
+		// that created it, its journalled ops re-fed through the same
+		// apply, the producer none the wiser. Anything else (or a resume
+		// that fails) is failed loudly.
+		outcome := "interrupted"
 		if j.kind == "ingest" && st.Created != nil && st.Created.Query != "" {
-			live, err := s.resumeJob(st)
+			is, err := parseIngest(st.Created.Query)
 			if err == nil {
-				return live, "resumed"
+				is.id, is.started = st.ID, st.Started
+				var live *job
+				if live, _, err = s.startIngestJob(is, st.Tail); err == nil {
+					return live, "resumed"
+				}
 			}
 			s.logger.Warn("recovery: resume failed; job falls back to interrupted",
 				slog.Int("job", st.ID), slog.String("err", err.Error()))
-			j.status = "failed"
-			j.errMsg = errInterrupted
-			setIngestView(st.Sessions, st.Watermark)
-			return j, "resume_failed"
+			outcome = "resume_failed"
 		}
-		j.status = "failed"
-		j.errMsg = errInterrupted
+		j.status, j.errMsg = "failed", errInterrupted
 		setIngestView(st.Sessions, st.Watermark)
-		return j, "interrupted"
+		return j, outcome
 	}
-}
-
-// resumeJob rebuilds a live ingest job from its journal state: the
-// creation query is re-parsed into the same replay configuration, a
-// fresh IngestSource and streaming run are started, and the journalled
-// batch tail — every session the old daemon fsynced before acking — is
-// re-fed in journal order, restoring the ordering floor, the watermark,
-// and the monotonic pushed counter exactly. The job re-enters "running"
-// with a fresh idle window, so a producer retrying its next batch gets
-// the same 200/409 semantics as if the crash never happened, and the
-// final result is bit-for-bit what an uninterrupted run yields.
-func (s *server) resumeJob(st *joblog.JobState) (*job, error) {
-	q, err := url.ParseQuery(st.Created.Query)
-	if err != nil {
-		return nil, fmt.Errorf("journalled query: %w", err)
-	}
-	sp, err := parseSpecQuery(q)
-	if err != nil {
-		return nil, fmt.Errorf("journalled query: %w", err)
-	}
-	if sp.mode != consumelocal.EngineStreaming {
-		return nil, fmt.Errorf("journalled engine mode %s cannot follow a live stream", sp.mode)
-	}
-	capacity, err := parseIngestCapacity(q)
-	if err != nil {
-		return nil, fmt.Errorf("journalled query: %w", err)
-	}
-	wall, err := parseWallWatermark(q)
-	if err != nil {
-		return nil, fmt.Errorf("journalled query: %w", err)
-	}
-	// An old-format journal records batch counts without payloads; those
-	// streams cannot be reproduced and must fail honestly instead.
-	for _, t := range st.Tail {
-		if t.Type == joblog.TypeBatch && t.Sessions > 0 && t.CSV == "" {
-			return nil, fmt.Errorf("journal batch records carry no session payload (pre-resume journal format)")
-		}
-	}
-
-	ing, err := consumelocal.NewIngestSource(st.Meta, capacity)
-	if err != nil {
-		return nil, err
-	}
-	opts := append(sp.options(), consumelocal.WithReplayMetrics(s.met.replay))
-	rep, err := consumelocal.Replay(context.Background(), ing, opts...)
-	if err != nil {
-		return nil, err
-	}
-	// On any re-feed failure, unwind the half-built pipeline: abort the
-	// queue, cancel the run, and drain it in the background so its
-	// goroutines exit.
-	unwind := func() {
-		ing.Abort(errIngestJobOver)
-		rep.Cancel()
-		go func() {
-			for range rep.Snapshots() {
-			}
-			_, _ = rep.Result()
-		}()
-	}
-	// Re-feed the fsynced history. The engine consumes concurrently, so
-	// blocking pushes drain however deep the tail runs; watermarks apply
-	// after their batch, exactly as the original requests interleaved.
-	for _, t := range st.Tail {
-		if t.CSV != "" {
-			sessions, err := trace.ReadSessionsCSV(strings.NewReader(t.CSV))
-			if err != nil {
-				unwind()
-				return nil, fmt.Errorf("replay journalled batch: %w", err)
-			}
-			for _, sess := range sessions {
-				if err := ing.Push(sess); err != nil {
-					unwind()
-					return nil, fmt.Errorf("replay journalled batch: %w", err)
-				}
-			}
-		}
-		if t.WatermarkSec > ing.Watermark() {
-			if err := ing.Advance(t.WatermarkSec); err != nil {
-				unwind()
-				return nil, fmt.Errorf("replay journalled watermark: %w", err)
-			}
-		}
-	}
-	if got := ing.Pushed(); got != st.Sessions {
-		unwind()
-		return nil, fmt.Errorf("re-fed %d sessions but the journal accounts %d", got, st.Sessions)
-	}
-
-	// The wall clock restarts only after the re-feed: Advance is
-	// monotonic and the ticker skips targets at or below the restored
-	// watermark, so a restart never regresses it.
-	stopWall := func() {}
-	if wall.enabled {
-		wallCtx, cancel := context.WithCancel(context.Background())
-		stopWall = cancel
-		go wallWatermark(wallCtx, ing, st.Meta.HorizonSec, wall.interval, wall.rate)
-	}
-	j := &job{
-		id:       st.ID,
-		name:     st.Name,
-		kind:     st.Kind,
-		mode:     sp.mode,
-		srv:      s,
-		started:  st.Started,
-		meta:     st.Meta,
-		replay:   rep,
-		ingest:   ing,
-		status:   "running",
-		changed:  make(chan struct{}),
-		rawQuery: st.Created.Query,
-		cleanup: func() {
-			stopWall()
-			ing.Abort(errIngestJobOver)
-		},
-	}
-	s.armWatchdog(j)
-	go j.pump()
-	return j, nil
 }
 
 // closeDurability syncs and closes the journal on shutdown.
@@ -419,8 +288,8 @@ func (s *server) finishedRecord(j *job) joblog.Record {
 // journalAppend commits one record, degrading loudly on failure: an
 // append error (disk full, journal closed) means restart fidelity is
 // lost for this transition, not that the in-memory job is wrong. The
-// one exception is the batch-acknowledgement path, which uses
-// journalBatch and refuses the ack instead.
+// one exception is the ingest write-ahead path, which uses journalOp
+// and refuses the op instead.
 func (s *server) journalAppend(rec joblog.Record) {
 	if s.jl == nil {
 		return
@@ -441,43 +310,36 @@ func (s *server) journalAppend(rec joblog.Record) {
 // a resume's re-feed never advances the floor ahead of unfed rows.
 const journalCSVChunk = 256 << 10
 
-// journalBatch durably records an accepted ingest batch (or a bare
-// watermark advance) — payload included, so a restart can re-feed it —
-// before the handler acknowledges it. A nil error means the records are
-// fsynced (one write, one fsync, however many chunks); on failure the
-// caller must not acknowledge the sessions as accepted.
-func (s *server) journalBatch(j *job, accepted []trace.Session, advanced bool) error {
-	if s.jl == nil || (len(accepted) == 0 && !advanced) {
+// journalOp durably records an ingest op before the caller applies it:
+// its sessions (payload included, so a restart can re-feed them) or,
+// for a bare watermark advance, a watermark record. The last record
+// carries the stream's watermark as of the op — the op's own when it
+// advances one — so a resume restores wall-clock progress too. Callers
+// hold j.feed. A nil error means the records are fsynced (one write,
+// one fsync, however many chunks); on failure nothing was journalled,
+// and the caller must not apply the op.
+func (s *server) journalOp(j *job, op ingestOp) error {
+	if s.jl == nil || (len(op.sessions) == 0 && op.watermark == nil) {
 		return nil
 	}
 	watermark := j.ingest.Watermark()
-	var recs []joblog.Record
-	if len(accepted) == 0 {
-		recs = []joblog.Record{{Type: joblog.TypeWatermark, Job: j.id, WatermarkSec: watermark}}
-	} else {
-		csv := make([]byte, 0, min(len(accepted)*32, journalCSVChunk+64))
-		count := int64(0)
-		flush := func() {
-			recs = append(recs, joblog.Record{
-				Type:     joblog.TypeBatch,
-				Job:      j.id,
-				Sessions: count,
-				CSV:      string(csv),
-			})
-			csv, count = csv[:0], 0
-		}
-		for _, sess := range accepted {
-			csv = trace.AppendSessionCSV(csv, sess)
-			count++
-			if len(csv) >= journalCSVChunk {
-				flush()
-			}
-		}
-		if count > 0 {
-			flush()
-		}
-		recs[len(recs)-1].WatermarkSec = watermark
+	if op.watermark != nil {
+		watermark = max(watermark, *op.watermark)
 	}
+	var recs []joblog.Record
+	csv := make([]byte, 0, min(len(op.sessions)*32, journalCSVChunk+64))
+	from := 0
+	for i, sess := range op.sessions {
+		csv = trace.AppendSessionCSV(csv, sess)
+		if len(csv) >= journalCSVChunk || i == len(op.sessions)-1 {
+			recs = append(recs, joblog.Record{Type: joblog.TypeBatch, Job: j.id, Sessions: int64(i + 1 - from), CSV: string(csv)})
+			csv, from = csv[:0], i+1
+		}
+	}
+	if len(recs) == 0 {
+		recs = []joblog.Record{{Type: joblog.TypeWatermark, Job: j.id}}
+	}
+	recs[len(recs)-1].WatermarkSec = watermark
 	if err := s.jl.AppendBatch(recs); err != nil {
 		s.met.journalErrors.Inc()
 		s.logger.Error("journal batch append failed",
@@ -546,10 +408,11 @@ func (s *server) dropStored(ids []int) {
 // not have.
 func (j *job) persistFinished() {
 	s := j.srv
+	j.mu.Lock()
 	if s.jl == nil || j.recovered {
+		j.mu.Unlock()
 		return
 	}
-	j.mu.Lock()
 	status := j.status
 	var snap engine.Snapshot
 	if n := len(j.snaps); n > 0 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,15 +13,24 @@ import (
 	"consumelocal/internal/joblog"
 )
 
-// durableServer boots an in-process daemon with a journal under a temp
-// dir — the fault-injection and online-compaction tests don't need the
-// real-binary SIGKILL harness, just the durability plumbing.
-func durableServer(t *testing.T, compactBytes int64) (*server, *httptest.Server) {
+// durableServer boots an in-process daemon with its journal under
+// dataDir — the fault-injection, resume and online-compaction tests
+// don't need the real-binary SIGKILL harness, just the durability
+// plumbing. Recovery must return within a deadline: a resume that
+// wedges on its own backlog fails the test instead of hanging it.
+func durableServer(t *testing.T, dataDir string, compactBytes int64) (*server, *httptest.Server) {
 	t.Helper()
 	srv := newServer(0)
 	srv.compactBytes = compactBytes
-	if err := srv.openDurability(t.TempDir()); err != nil {
-		t.Fatal(err)
+	opened := make(chan error, 1)
+	go func() { opened <- srv.openDurability(dataDir) }()
+	select {
+	case err := <-opened:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("journal recovery did not return within 30s")
 	}
 	t.Cleanup(srv.closeDurability)
 	ts := httptest.NewServer(srv.routes())
@@ -28,15 +38,68 @@ func durableServer(t *testing.T, compactBytes int64) (*server, *httptest.Server)
 	return srv, ts
 }
 
+// crashCopy copies the journal under dataDir into a fresh data dir, as
+// a kill -9 at this instant would leave it (a clean drain would
+// journal the running jobs' cancellation).
+func crashCopy(t *testing.T, dataDir string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dataDir, "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(crashDir, "journal.log"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return crashDir
+}
+
+// finishEnergy seals ingest job id, waits for it to finish and returns
+// its /energy document.
+func finishEnergy(t *testing.T, base string, id int) []byte {
+	t.Helper()
+	resp, err := http.Post(fmt.Sprintf("%s/v1/jobs/%d/finish", base, id), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("finish job %d = %d, want 200", id, resp.StatusCode)
+	}
+	waitStatus(t, base, id, "done")
+	return getBytes(t, fmt.Sprintf("%s/v1/jobs/%d/energy", base, id))
+}
+
+// checkResumed recovers a daemon from the crash copy crashDir and
+// requires ingest job id back running with pushed sessions, finishing
+// to the same /energy document as the uninterrupted run (want).
+func checkResumed(t *testing.T, crashDir string, id int, pushed int64, want []byte) {
+	t.Helper()
+	srv, ts := durableServer(t, crashDir, 0)
+	if rec := srv.recovered; rec.Resumed != 1 || rec.ResumeFailed != 0 {
+		t.Fatalf("recovery = %+v, want 1 resumed and none failed", rec)
+	}
+	var v jobView
+	getJSON(t, fmt.Sprintf("%s/v1/jobs/%d", ts.URL, id), &v)
+	if v.Status != "running" || v.Pushed != pushed {
+		t.Fatalf("resumed job = %q with %d pushed, want running with %d", v.Status, v.Pushed, pushed)
+	}
+	if got := finishEnergy(t, ts.URL, id); !bytes.Equal(got, want) {
+		t.Fatalf("resumed /energy differs from the uninterrupted run:\n want: %s\n got:  %s", want, got)
+	}
+}
+
 // TestIngestFaultInjection drives the degrade-loudly contract end to
 // end through HTTP: while the journal's fsync (or write) path is
-// failing, a session batch must be refused with a 500 *before* it is
-// acknowledged — the producer knows its rows are not durable — and the
-// failure must be visible in journal_append_errors_total and the
-// injected-fault counter. Clearing the fault restores normal 200s, and
-// the journal that survives replays only the acknowledged rows.
+// failing, a session batch must be refused with a 500 — neither
+// journalled nor applied, so the producer may resend the same rows —
+// and the failure must be visible in journal_append_errors_total and
+// the injected-fault counter. Clearing the fault restores normal 200s,
+// and a restart from the journal as a crash leaves it serves exactly
+// the live job's state.
 func TestIngestFaultInjection(t *testing.T) {
-	srv, ts := durableServer(t, 0)
+	dir := t.TempDir()
+	srv, ts := durableServer(t, dir, 0)
 
 	resp, v := postJob(t, ingestURL(ts.URL, "&name=faulty"))
 	if resp.StatusCode != http.StatusAccepted {
@@ -51,10 +114,6 @@ func TestIngestFaultInjection(t *testing.T) {
 		t.Fatalf("clean batch = %d (%v), want 200", sresp.StatusCode, out)
 	}
 
-	// Each faulty batch uses fresh rows: a 500 means *indeterminate* —
-	// the rows may sit in the live stream unjournalled (they do here), so
-	// the producer's recovery protocol is probe-and-skip, not blind
-	// resend of the same rows.
 	for _, fault := range []struct {
 		kind  string
 		start int64
@@ -78,18 +137,44 @@ func TestIngestFaultInjection(t *testing.T) {
 		t.Fatalf("journal_append_errors_total = %g, want >= 2", got)
 	}
 
-	// Service resumes once the faults clear.
+	// Service resumes once the faults clear, and the refused rows never
+	// reached the live stream.
 	srv.jl.InjectFaults(nil)
 	sresp, out = postSessions(t, sessionsURL+"?watermark=7200", "text/csv", sessionRows(5000, 5))
-	if sresp.StatusCode != http.StatusOK || out["total_pushed"].(float64) != 25 {
-		t.Fatalf("batch after clearing faults = %d %v, want 200 with 25 total", sresp.StatusCode, out)
+	if sresp.StatusCode != http.StatusOK || out["total_pushed"].(float64) != 15 {
+		t.Fatalf("batch after clearing faults = %d %v, want 200 with 15 total", sresp.StatusCode, out)
 	}
 
-	// The journal on disk accounts exactly the acknowledged sessions.
-	if _, err := http.Post(fmt.Sprintf("%s/v1/jobs/%d/finish", ts.URL, v.ID), "", nil); err != nil {
-		t.Fatal(err)
+	// The journal on disk accounts exactly the acknowledged sessions: a
+	// restart from it finishes to the live job's result.
+	crashDir := crashCopy(t, dir)
+	want := finishEnergy(t, ts.URL, v.ID)
+	checkResumed(t, crashDir, v.ID, 15, want)
+}
+
+// TestResumeDeepTail is the restart-deadlock regression: a durable
+// stream with one-minute windows and a 16-slot queue journals far more
+// windows than the snapshot buffer and queue can hold together. The
+// resume must re-feed that tail with the job's pump already draining
+// snapshots — recovery returns within durableServer's deadline — and
+// finish to the same result as the uninterrupted stream.
+func TestResumeDeepTail(t *testing.T) {
+	const batches, perBatch, spacing = 600, 10, 20
+	dir := t.TempDir()
+	_, ts := durableServer(t, dir, 0)
+	resp, v := postJob(t, ts.URL+"/v1/jobs?source=ingest&horizon=14400&users=100&content=4&isps=2&window=60&capacity=16")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest job submission = %d, want 202", resp.StatusCode)
 	}
-	waitStatus(t, ts.URL, v.ID, "done")
+	for i := int64(0); i < batches; i++ {
+		url := fmt.Sprintf("%s/v1/jobs/%d/sessions?watermark=%d", ts.URL, v.ID, (i+1)*spacing)
+		if sresp, out := postSessions(t, url, "text/csv", sessionRows(i*spacing, perBatch)); sresp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d = %d (%v), want 200", i, sresp.StatusCode, out)
+		}
+	}
+	crashDir := crashCopy(t, dir)
+	want := finishEnergy(t, ts.URL, v.ID)
+	checkResumed(t, crashDir, v.ID, batches*perBatch, want)
 }
 
 // TestOnlineCompaction exercises the background size-threshold pass
@@ -172,14 +257,7 @@ func TestOnlineCompaction(t *testing.T) {
 	if mid.Status != "running" || mid.Pushed != int64(bTotal) {
 		t.Fatalf("stream B mid-stream view = %+v, want running with %d pushed", mid, bTotal)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "journal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(crashDir, "journal.log"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	crashDir := crashCopy(t, dir)
 	ts.Close()
 	srv.drainJobs(0)
 	srv.closeDurability()
@@ -204,5 +282,58 @@ func TestOnlineCompaction(t *testing.T) {
 	}
 	if len(st.Tail) == 0 {
 		t.Fatal("live stream's batch tail lost by online compaction")
+	}
+}
+
+// TestResumeFailsLoudly feeds recovery a journal whose batch tail does
+// not re-apply — out of order, as a daemon that journalled batches
+// after pushing them could leave it when producers raced. The resume is
+// abandoned and the job failed with the daemon-restart error; the
+// half-built pipeline unwinds without journalling a terminal record of
+// its own, so the failure recovery recorded is what the next restart
+// sees.
+func TestResumeFailsLoudly(t *testing.T) {
+	dir := t.TempDir()
+	jl, _, err := joblog.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := "source=ingest&horizon=14400&users=100&content=4&isps=2&window=3600"
+	for _, r := range []joblog.Record{
+		{Type: joblog.TypeCreated, Job: 1, Kind: "ingest", Mode: "streaming", Query: query},
+		{Type: joblog.TypeBatch, Job: 1, Sessions: 3, CSV: sessionRows(100, 3)},
+		{Type: joblog.TypeBatch, Job: 1, Sessions: 3, CSV: sessionRows(50, 3)},
+	} {
+		if err := jl.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, ts := durableServer(t, dir, 0)
+	if rec := srv.recovered; rec.Resumed != 0 || rec.ResumeFailed != 1 {
+		t.Fatalf("recovery = %+v, want 1 resume failed", rec)
+	}
+	var v jobView
+	getJSON(t, ts.URL+"/v1/jobs/1", &v)
+	if v.Status != "failed" || v.Error != errInterrupted || v.Pushed != 6 {
+		t.Fatalf("job after a failed resume = %+v, want failed with the restart error and 6 journalled sessions", v)
+	}
+	waitFor(t, "the abandoned pipeline to unwind", func() bool {
+		n, _ := scrapeMetrics(t, ts.URL).Value(`consumelocald_jobs_finished_total{status="cancelled"}`)
+		return n == 1
+	})
+	cj, rec, err := joblog.Open(crashCopy(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cj.Close()
+	if len(rec.Jobs) != 1 {
+		t.Fatalf("journal after a failed resume holds %d jobs, want 1", len(rec.Jobs))
+	}
+	if st := rec.Jobs[0]; st.Status != "failed" || st.Error != errInterrupted {
+		t.Fatalf("journal after a failed resume records job 1 %q (%s), want failed with the restart error", st.Status, st.Error)
 	}
 }

@@ -148,6 +148,9 @@ type job struct {
 	// silent; every successful ingest call re-arms it.
 	ingest    *consumelocal.IngestSource
 	idleTimer *time.Timer
+	// feed serialises every mutation of an ingest job's stream (see
+	// apply), so what a holder checks and journals is what lands.
+	feed sync.Mutex
 	// rawQuery is the creation request's query string, journalled with
 	// the created record of an ingest job so a restarted daemon can
 	// rebuild the same replay configuration and resume the stream.
@@ -184,10 +187,11 @@ type job struct {
 	errMsg     string
 	changed    chan struct{}
 
-	// recovered marks a job rebuilt from the journal after a restart:
-	// replay and ingest are nil (there is no live pipeline behind it)
-	// and the status is terminal. The rec* fields carry the
-	// producer-side view an ingest job's queue would otherwise serve.
+	// recovered marks a job whose terminal record is recovery's to
+	// write: one rebuilt from the journal after a restart (replay and
+	// ingest are nil, the status is terminal), or a resume abandoned
+	// mid-build. Guarded by mu. The rec* fields carry the producer-side
+	// view an ingest job's queue would otherwise serve.
 	recovered    bool
 	recIngest    bool
 	recPushed    int64
@@ -323,6 +327,10 @@ type replaySpec struct {
 	// rawQuery is the submission's raw query string, kept only for
 	// ingest jobs — journalled so a restart can resume the stream.
 	rawQuery string
+	// id and started are the journalled identity of a job recovery
+	// resumes; zero for a new submission.
+	id      int
+	started time.Time
 }
 
 // options converts the spec into Replay options.
@@ -342,9 +350,9 @@ func parseSpec(r *http.Request) (replaySpec, error) {
 	return parseSpecQuery(r.URL.Query())
 }
 
-// parseSpecQuery is parseSpec over bare query values — the form journal
-// recovery re-parses a resumed ingest job's journalled query through,
-// so a resume runs under exactly the validation its creation did.
+// parseSpecQuery is parseSpec over bare query values — the form
+// parseIngest reads an ingest job's creation query through, so a
+// resumed job runs under exactly the validation its creation did.
 func parseSpecQuery(q url.Values) (replaySpec, error) {
 	getF := func(key string, def float64) (float64, error) {
 		v := q.Get(key)
@@ -439,10 +447,11 @@ func parseSpecQuery(q url.Values) (replaySpec, error) {
 // cut off however large (within max-body) or slow its trace.
 const spoolIdleTimeout = time.Minute
 
-// jobSource resolves the trace source of an async job submission.
-// source=generator streams the synthetic workload live; otherwise the
-// request body is a trace CSV, spooled to a temporary file so the replay
-// outlives the request while staying out-of-core.
+// jobSource resolves the trace source of an async job submission other
+// than source=ingest (see parseIngest). source=generator streams the
+// synthetic workload live; otherwise the request body is a trace CSV,
+// spooled to a temporary file so the replay outlives the request while
+// staying out-of-core.
 func (s *server) jobSource(w http.ResponseWriter, r *http.Request) (consumelocal.Source, func(), error) {
 	if s.sourceHook != nil {
 		return s.sourceHook(r)
@@ -489,38 +498,6 @@ func (s *server) jobSource(w http.ResponseWriter, r *http.Request) (consumelocal
 		cfg.Seed = seed
 		src, err := consumelocal.GeneratorSource(cfg)
 		return src, nil, err
-	case "ingest":
-		meta, err := ingestMeta(q)
-		if err != nil {
-			return nil, nil, err
-		}
-		capacity, err := parseIngestCapacity(q)
-		if err != nil {
-			return nil, nil, err
-		}
-		ing, err := consumelocal.NewIngestSource(meta, capacity)
-		if err != nil {
-			return nil, nil, err
-		}
-		wall, err := parseWallWatermark(q)
-		if err != nil {
-			return nil, nil, err
-		}
-		stopWall := func() {}
-		if wall.enabled {
-			wallCtx, cancel := context.WithCancel(context.Background())
-			stopWall = cancel
-			go wallWatermark(wallCtx, ing, meta.HorizonSec, wall.interval, wall.rate)
-		}
-		// The cleanup runs once the job settles: tear the queue down so
-		// producers blocked in a push unblock and later pushes are
-		// refused with a closed-stream conflict. Aborting also unwinds
-		// the wall-clock watermark goroutine; cancelling its context
-		// first just spares it a doomed Advance.
-		return ing, func() {
-			stopWall()
-			ing.Abort(errIngestJobOver)
-		}, nil
 	case "", "body":
 		f, err := os.CreateTemp("", "consumelocald-job-*.csv")
 		if err != nil {
@@ -712,19 +689,19 @@ func parseWallWatermark(q url.Values) (wallConfig, error) {
 	return cfg, nil
 }
 
-// wallWatermark advances an ingest stream's watermark from the daemon
+// wallWatermark advances an ingest job's watermark from the daemon
 // clock: every interval it promises the replay that trace time has
 // reached elapsed×rate (clamped to the horizon), settling reporting
 // windows even while the producer is silent. Producer-sent watermarks
-// compose — whichever clock is ahead wins, and a producer overtaking
-// the ticker between its check and its Advance is tolerated, not an
-// error. Wall advances are not producer activity: the idle watchdog
-// still reaps a stream whose producer has disappeared. The goroutine
-// exits when the stream is sealed, aborted, the horizon is reached, or
-// ctx is cancelled.
-func wallWatermark(ctx context.Context, ing *consumelocal.IngestSource, horizonSec int64, interval time.Duration, rate float64) {
+// compose — whichever clock is ahead wins, and a tick behind the
+// stream's watermark is skipped. Wall advances are not producer
+// activity: the idle watchdog still reaps a stream whose producer has
+// disappeared. The goroutine exits when the stream is sealed, aborted,
+// the horizon is reached, or ctx is cancelled.
+func (j *job) wallWatermark(ctx context.Context, wall wallConfig) {
+	horizonSec := j.ingest.Meta().HorizonSec
 	start := time.Now()
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(wall.interval)
 	defer tick.Stop()
 	for {
 		select {
@@ -732,23 +709,16 @@ func wallWatermark(ctx context.Context, ing *consumelocal.IngestSource, horizonS
 			return
 		case <-tick.C:
 		}
-		target := int64(time.Since(start).Seconds() * rate)
-		if target > horizonSec {
-			target = horizonSec
+		target := min(int64(time.Since(start).Seconds()*wall.rate), horizonSec)
+		var err error
+		j.feed.Lock()
+		if target > j.ingest.Watermark() {
+			_, err = j.apply(ingestOp{watermark: &target})
 		}
-		if target <= ing.Watermark() {
-			continue
-		}
-		switch err := ing.AdvanceContext(ctx, target); {
-		case err == nil:
-		case errors.Is(err, consumelocal.ErrOutOfOrder):
-			// A producer watermark outran the daemon clock; theirs wins.
-		default:
-			// Sealed, aborted or cancelled — the stream no longer needs
-			// a clock.
-			return
-		}
-		if target >= horizonSec {
+		j.feed.Unlock()
+		if err != nil || target >= horizonSec {
+			// Sealed or aborted, or the horizon reached — the stream no
+			// longer needs a clock.
 			return
 		}
 	}
@@ -879,18 +849,23 @@ func (s *server) releaseSlot() {
 	s.mu.Unlock()
 }
 
-// startJob starts the replay under ctx and publishes the job, consuming
-// the quota slot the caller claimed with claimSlot. The job is only
-// registered with its replay handle attached (DELETE and followers can
-// never observe a half-built one). It returns an HTTP status alongside
-// the error so handlers pass refusals through uniformly.
+// startJob starts the replay under ctx and its pump. A new job consumes
+// the quota slot the caller claimed with claimSlot, is numbered,
+// published and journalled; it is only registered with its replay
+// handle attached (DELETE and followers can never observe a half-built
+// one). A job recovery resumes (sp.id set) keeps its journalled
+// identity, claims no slot and writes no created record — recovery
+// registers it. It returns an HTTP status alongside the error so
+// handlers pass refusals through uniformly.
 func (s *server) startJob(ctx context.Context, sp replaySpec, src consumelocal.Source, cleanup func(), extra ...consumelocal.Option) (*job, int, error) {
 	// Every job records into the daemon's shared per-stage set, so
 	// /metrics exposes daemon-wide source/settle/emit totals.
 	opts := append(sp.options(), consumelocal.WithReplayMetrics(s.met.replay))
 	rep, err := consumelocal.Replay(ctx, src, append(opts, extra...)...)
 	if err != nil {
-		s.releaseSlot()
+		if sp.id == 0 {
+			s.releaseSlot()
+		}
 		if cleanup != nil {
 			cleanup()
 		}
@@ -901,12 +876,17 @@ func (s *server) startJob(ctx context.Context, sp replaySpec, src consumelocal.S
 	if kind == "" {
 		kind = "trace"
 	}
+	started := sp.started
+	if started.IsZero() {
+		started = time.Now().UTC()
+	}
 	j := &job{
+		id:      sp.id,
 		name:    sp.name,
 		kind:    kind,
 		mode:    sp.mode,
 		srv:     s,
-		started: time.Now().UTC(),
+		started: started,
 		// rep.Meta was captured synchronously by Replay before the engine
 		// goroutines began consuming src; reading src.Meta() here instead
 		// would race any Source whose metadata is not an immutable field.
@@ -926,33 +906,33 @@ func (s *server) startJob(ctx context.Context, sp replaySpec, src consumelocal.S
 	// quota slot forever). Successful ingest calls re-arm the watchdog.
 	j.ingest, _ = src.(*consumelocal.IngestSource)
 	s.armWatchdog(j)
-	s.mu.Lock()
-	s.pending--
-	j.id = s.nextID
-	s.nextID++
-	s.jobs[j.id] = j
-	evicted := s.evictLocked()
-	s.mu.Unlock()
-	s.dropStored(evicted)
-	// The admission record lands — fsynced — before the 202/200 goes
-	// out, so a job the client was told exists survives a crash (as
-	// "interrupted" if it never finishes).
-	s.journalAppend(s.createdRecord(j))
-
-	s.met.jobsSubmitted.With1(kind).Inc()
-	s.logger.Info("job started",
-		slog.Int("job", j.id),
-		slog.String("kind", kind),
-		slog.String("mode", j.mode.String()),
-		slog.String("name", j.name))
+	if j.id == 0 {
+		s.mu.Lock()
+		s.pending--
+		j.id = s.nextID
+		s.nextID++
+		s.jobs[j.id] = j
+		evicted := s.evictLocked()
+		s.mu.Unlock()
+		s.dropStored(evicted)
+		// The admission record lands — fsynced — before the 202/200 goes
+		// out, so a job the client was told exists survives a crash (as
+		// "interrupted" if it never finishes).
+		s.journalAppend(s.createdRecord(j))
+		s.met.jobsSubmitted.With1(kind).Inc()
+		s.logger.Info("job started",
+			slog.Int("job", j.id),
+			slog.String("kind", kind),
+			slog.String("mode", j.mode.String()),
+			slog.String("name", j.name))
+	}
 	go j.pump()
 	return j, http.StatusOK, nil
 }
 
 // armWatchdog arms an ingest job's idle watchdog (a no-op for other
-// jobs or with the watchdog disabled). Shared by startJob and journal
-// recovery — a resumed stream gets a fresh idle window for its producer
-// to reattach in.
+// jobs or with the watchdog disabled). A resumed stream gets a fresh
+// idle window for its producer to reattach in.
 func (s *server) armWatchdog(j *job) {
 	if j.ingest == nil || s.ingestIdle <= 0 {
 		return
@@ -1065,29 +1045,18 @@ func (s *server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	if s.handleDraining(w) {
 		return
 	}
+	source := r.URL.Query().Get("source")
 	sp, err := parseSpec(r)
+	if source == "generator" {
+		sp.kind = "generator"
+	}
+	var is ingestSpec
+	if err == nil && source == "ingest" {
+		is, err = parseIngest(r.URL.RawQuery)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	// A live ingest replay must run on the streaming engine: the batch
-	// engines materialise the whole source before simulating, which for
-	// an unsealed stream means blocking until the broadcast ends — and
-	// their materialise step cannot be interrupted while the producer is
-	// silent.
-	if r.URL.Query().Get("source") == "ingest" && sp.mode != consumelocal.EngineStreaming {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("source=ingest requires engine=streaming; the %s engine cannot follow an unsealed stream", sp.mode))
-		return
-	}
-	switch r.URL.Query().Get("source") {
-	case "generator":
-		sp.kind = "generator"
-	case "ingest":
-		sp.kind = "ingest"
-		sp.rawQuery = r.URL.RawQuery
-	default:
-		sp.kind = "trace"
 	}
 	// Claim the quota slot before spooling the body, so over-quota
 	// submissions are refused without writing a byte to disk. The
@@ -1098,18 +1067,16 @@ func (s *server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
-	src, cleanup, err := s.jobSource(w, r)
-	if err != nil {
+	var j *job
+	status := http.StatusOK
+	if source == "ingest" {
+		j, status, err = s.startIngestJob(is, nil)
+	} else if src, cleanup, serr := s.jobSource(w, r); serr != nil {
 		s.releaseSlot()
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, err)
-		return
+		status, err = batchErrStatus(serr), serr
+	} else {
+		j, status, err = s.startJob(context.Background(), sp, src, cleanup)
 	}
-	j, status, err := s.startJob(context.Background(), sp, src, cleanup)
 	if err != nil {
 		writeError(w, status, err)
 		return
@@ -1121,6 +1088,79 @@ func (s *server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 // settles (done, failed or cancelled) and its queue is torn down: the
 // diagnosis a producer sees when it keeps pushing afterwards.
 var errIngestJobOver = errors.New("the replay job is no longer running")
+
+// ingestSpec is the parsed creation query of an ingest job: its replay
+// spec, its (still empty) stream and its wall-clock fallback.
+type ingestSpec struct {
+	replaySpec
+	ing  *consumelocal.IngestSource
+	wall wallConfig
+}
+
+// parseIngest parses an ingest job's creation query — the same
+// validation whether a client submits it or recovery re-reads it from
+// the journalled created record.
+func parseIngest(rawQuery string) (ingestSpec, error) {
+	// Malformed pairs are dropped, exactly as r.URL.Query() drops them.
+	q, _ := url.ParseQuery(rawQuery)
+	sp, err := parseSpecQuery(q)
+	if err != nil {
+		return ingestSpec{}, err
+	}
+	// A live ingest replay must run on the streaming engine: the batch
+	// engines materialise the whole source before simulating, which for
+	// an unsealed stream means blocking until the broadcast ends — and
+	// their materialise step cannot be interrupted while the producer is
+	// silent.
+	if sp.mode != consumelocal.EngineStreaming {
+		return ingestSpec{}, fmt.Errorf("source=ingest requires engine=streaming; the %s engine cannot follow an unsealed stream", sp.mode)
+	}
+	sp.kind, sp.rawQuery = "ingest", rawQuery
+	meta, err := ingestMeta(q)
+	if err != nil {
+		return ingestSpec{}, err
+	}
+	capacity, err := parseIngestCapacity(q)
+	if err != nil {
+		return ingestSpec{}, err
+	}
+	wall, err := parseWallWatermark(q)
+	if err != nil {
+		return ingestSpec{}, err
+	}
+	ing, err := consumelocal.NewIngestSource(meta, capacity)
+	return ingestSpec{replaySpec: sp, ing: ing, wall: wall}, err
+}
+
+// startIngestJob is the one constructor of live ingest jobs, behind
+// both POST /v1/jobs?source=ingest and journal recovery. It starts the
+// job and its pump, re-applies redo (a resumed job's journalled tail,
+// nil for a new job), and only then starts the wall clock. Once the job
+// settles, its cleanup stops the clock and tears the queue down, so
+// blocked producers unblock and later pushes get a closed-stream 409.
+func (s *server) startIngestJob(is ingestSpec, redo []joblog.Record) (*job, int, error) {
+	wallCtx, stopWall := context.WithCancel(context.Background())
+	j, status, err := s.startJob(context.Background(), is.replaySpec, is.ing, func() {
+		stopWall()
+		is.ing.Abort(errIngestJobOver)
+	})
+	if err != nil {
+		return nil, status, err
+	}
+	if err := j.redo(redo); err != nil {
+		// Abandon the half-resumed job: its pump settles it without
+		// journalling, as recovery records the failure itself.
+		j.mu.Lock()
+		j.recovered = true
+		j.mu.Unlock()
+		j.replay.Cancel()
+		return nil, http.StatusInternalServerError, err
+	}
+	if is.wall.enabled {
+		go j.wallWatermark(wallCtx, is.wall)
+	}
+	return j, status, nil
+}
 
 // ingestBatch is the JSON form of one sessions push: a batch of
 // sessions in start order, optionally advancing the watermark after the
@@ -1157,13 +1197,82 @@ func (j *job) touchIngest() {
 	j.mu.Unlock()
 }
 
+// ingestOp is one mutation of an ingest job's stream: sessions in start
+// order, then an optional watermark advance — or, for finish, the seal.
+type ingestOp struct {
+	sessions  []trace.Session
+	watermark *int64
+	seal      bool
+}
+
+// apply performs op on the job's stream — the one path by which live
+// pushes, wall-clock ticks, finish and recovery's re-feed mutate it —
+// and returns how many of op's sessions landed. Callers hold j.feed, so
+// what they checked or journalled under the same hold is what lands.
+// Only the job ending (its queue aborted) cuts an op short, never a
+// producer going away.
+func (j *job) apply(op ingestOp) (int, error) {
+	for i, sess := range op.sessions {
+		if err := j.ingest.Push(sess); err != nil {
+			return i, err
+		}
+		// Touch per accepted session, not per batch: a large batch
+		// draining through backpressure for longer than the idle
+		// deadline is a live producer, not a silent one.
+		j.touchIngest()
+	}
+	if op.watermark != nil {
+		if err := j.ingest.Advance(*op.watermark); err != nil {
+			return len(op.sessions), err
+		}
+	}
+	if op.seal {
+		return 0, j.ingest.Close()
+	}
+	return len(op.sessions), nil
+}
+
+// redo re-applies a resumed job's journalled tail, in journal order:
+// each record decodes to the op the live daemon journalled, so the
+// ordering floor, watermark and pushed counter come back exactly.
+func (j *job) redo(tail []joblog.Record) error {
+	j.feed.Lock()
+	defer j.feed.Unlock()
+	for _, t := range tail {
+		var op ingestOp
+		if t.Sessions > 0 {
+			sessions, err := trace.ReadSessionsCSV(strings.NewReader(t.CSV))
+			if err != nil {
+				return fmt.Errorf("journalled batch: %w", err)
+			}
+			// A journal predating payload-carrying batch records counts
+			// sessions it cannot reproduce.
+			if int64(len(sessions)) != t.Sessions {
+				return fmt.Errorf("journalled batch carries %d of its %d sessions", len(sessions), t.Sessions)
+			}
+			op.sessions = sessions
+		}
+		if t.WatermarkSec > 0 {
+			op.watermark = &t.WatermarkSec
+		}
+		if _, err := j.apply(op); err != nil {
+			return fmt.Errorf("re-apply journalled %s: %w", t.Type, err)
+		}
+	}
+	return nil
+}
+
 // handleIngestSessions appends a batch of sessions to a live ingest
 // job: CSV rows (the interchange columns, header optional) or a JSON
 // {"sessions": [...]} document by Content-Type. The watermark advances
 // when the JSON carries watermark_sec or the request a ?watermark=
-// query. Pushes block while the replay's queue is full — backpressure
-// on the producer — and a batch rejected part-way reports how many
-// sessions landed so the producer can resume without double-pushing.
+// query. The batch is written ahead: under the job's feed lock it is
+// checked against the stream without changing it, its accepted prefix
+// is journalled, and only then applied — so a 500 means the rows were
+// neither journalled nor applied. Pushes block while the replay's
+// queue is full — backpressure on the producer — and a batch rejected
+// part-way reports how many sessions landed so the producer can resume
+// without double-pushing.
 func (s *server) handleIngestSessions(w http.ResponseWriter, r *http.Request) {
 	j := s.ingestJob(w, r)
 	if j == nil {
@@ -1207,46 +1316,30 @@ func (s *server) handleIngestSessions(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.ingestBatches.Inc()
 
-	pushed := 0
-	for _, sess := range sessions {
-		if err := j.ingest.PushContext(r.Context(), sess); err != nil {
-			// The accepted prefix is real ingested data the response
-			// reports (and producers resume from) — journal it before
-			// acknowledging it.
-			if perr := s.journalBatch(j, sessions[:pushed], false); perr != nil {
-				writeError(w, http.StatusInternalServerError, fmt.Errorf("journal batch: %w", perr))
-				return
-			}
-			writeIngestError(w, r, j, pushed, err)
-			return
-		}
-		pushed++
-		s.met.ingestSessions.Inc()
-		// Touch per accepted session, not per batch: a large batch
-		// draining through backpressure for longer than the idle
-		// deadline is a live producer, not a silent one.
-		j.touchIngest()
+	j.feed.Lock()
+	accepted, err := j.ingest.Check(sessions, watermark)
+	op := ingestOp{sessions: sessions[:accepted]}
+	if err == nil {
+		op.watermark = watermark
 	}
-	advanced := false
-	if watermark != nil {
-		if err := j.ingest.AdvanceContext(r.Context(), *watermark); err != nil {
-			if perr := s.journalBatch(j, sessions[:pushed], false); perr != nil {
-				writeError(w, http.StatusInternalServerError, fmt.Errorf("journal batch: %w", perr))
-				return
-			}
-			writeIngestError(w, r, j, pushed, err)
-			return
-		}
-		advanced = true
-		j.touchIngest()
-	}
-	// Fsync-on-commit: the batch record must be durable before the 200
-	// acknowledges it. A journal failure here refuses the ack — the
-	// producer must treat the batch as indeterminate — rather than
-	// acknowledging sessions a restart would forget.
-	if err := s.journalBatch(j, sessions[:pushed], advanced); err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("journal batch: %w", err))
+	if jerr := s.journalOp(j, op); jerr != nil {
+		j.feed.Unlock()
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("journal batch: %w", jerr))
 		return
+	}
+	pushed, aerr := j.apply(op)
+	j.feed.Unlock()
+	s.met.ingestSessions.Add(float64(pushed))
+	if aerr != nil {
+		// The job ended mid-op; its terminal record rules at restart.
+		err = aerr
+	}
+	if err != nil {
+		writeIngestError(w, j, pushed, err)
+		return
+	}
+	if watermark != nil {
+		j.touchIngest()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"job":           j.id,
@@ -1256,8 +1349,9 @@ func (s *server) handleIngestSessions(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// batchErrStatus distinguishes an oversized batch (413, the cap is the
-// server's) from a malformed one (400, the bytes are the producer's).
+// batchErrStatus distinguishes an oversized request body (413, the cap
+// is the server's) from a malformed one (400, the bytes are the
+// client's).
 func batchErrStatus(err error) int {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
@@ -1266,18 +1360,12 @@ func batchErrStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// writeIngestError maps a push/advance failure onto an HTTP status:
+// writeIngestError maps a push/advance refusal onto an HTTP status:
 // ordering violations and a stream that no longer accepts input are
-// state conflicts (409), a producer that disconnected mid-push gets no
-// response (nobody is listening), anything else — malformed or
-// out-of-range sessions — is a bad request. The response carries how
-// many sessions of the batch landed before the failure.
-func writeIngestError(w http.ResponseWriter, r *http.Request, j *job, pushed int, err error) {
-	if r.Context().Err() != nil {
-		// The push failed because this producer went away, not because
-		// the stream refused it.
-		return
-	}
+// state conflicts (409), anything else — malformed or out-of-range
+// sessions — is a bad request. The response carries how many sessions
+// of the batch landed before the refusal.
+func writeIngestError(w http.ResponseWriter, j *job, pushed int, err error) {
 	status := http.StatusBadRequest
 	if errors.Is(err, consumelocal.ErrOutOfOrder) || errors.Is(err, consumelocal.ErrIngestClosed) {
 		status = http.StatusConflict
@@ -1298,7 +1386,10 @@ func (s *server) handleIngestFinish(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	if err := j.ingest.Close(); err != nil {
+	j.feed.Lock()
+	_, err := j.apply(ingestOp{seal: true})
+	j.feed.Unlock()
+	if err != nil {
 		writeError(w, http.StatusConflict, err)
 		return
 	}

@@ -202,13 +202,6 @@ func (s *IngestSource) noteBlockedLocked(d time.Duration) {
 // ordering contract, a validation error when it violates the stream
 // metadata, and ErrIngestClosed once the stream is sealed or aborted.
 func (s *IngestSource) Push(sess Session) error {
-	return s.PushContext(context.Background(), sess)
-}
-
-// PushContext is Push bounded by a context: a producer whose client has
-// disconnected stops waiting for queue space and returns ctx.Err().
-func (s *IngestSource) PushContext(ctx context.Context, sess Session) error {
-	defer s.wakeOnDone(ctx)()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var blockStart time.Time
@@ -219,9 +212,6 @@ func (s *IngestSource) PushContext(ctx context.Context, sess Session) error {
 	}()
 	for {
 		if err := s.closedLocked(); err != nil {
-			return err
-		}
-		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if s.len() < s.capacity {
@@ -235,15 +225,7 @@ func (s *IngestSource) PushContext(ctx context.Context, sess Session) error {
 	// Validate under the lock, after any wait: the floor (lastStart,
 	// watermark) only ever rises, so a session admitted here is ordered
 	// against everything already queued.
-	if sess.StartSec < s.lastStart {
-		return fmt.Errorf("consumelocal: ingest session %d: %w: starts at %d, before already-pushed start %d",
-			s.pushed, ErrOutOfOrder, sess.StartSec, s.lastStart)
-	}
-	if sess.StartSec < s.watermark {
-		return fmt.Errorf("consumelocal: ingest session %d: %w: starts at %d, behind watermark %d",
-			s.pushed, ErrOutOfOrder, sess.StartSec, s.watermark)
-	}
-	if err := s.meta.ValidateSession(s.pushed, sess); err != nil {
+	if err := s.admitLocked(sess, s.lastStart, s.pushed); err != nil {
 		return err
 	}
 	s.queue = append(s.queue, SourceEvent{Session: sess})
@@ -257,6 +239,48 @@ func (s *IngestSource) PushContext(ctx context.Context, sess Session) error {
 	return nil
 }
 
+// Check reports how many leading sessions of batch Push would accept
+// right now, and the error refusing the next one — or, when the whole
+// batch passes and watermarkSec is non-nil, the error Advance would
+// refuse it with — without changing the stream. A producer serialising
+// its own pushes can make the accepted prefix durable first; its pushes
+// then fail only on an abort.
+func (s *IngestSource) Check(batch []Session, watermarkSec *int64) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(batch) > 0 {
+		if err := s.closedLocked(); err != nil {
+			return 0, err
+		}
+	}
+	lastStart := s.lastStart
+	for i, sess := range batch {
+		if err := s.admitLocked(sess, lastStart, s.pushed+int64(i)); err != nil {
+			return i, err
+		}
+		lastStart = sess.StartSec
+	}
+	if watermarkSec != nil {
+		return len(batch), s.checkAdvanceLocked(*watermarkSec)
+	}
+	return len(batch), nil
+}
+
+// admitLocked validates sess, the stream's n-th session, against the
+// ordering contract (lastStart being the start it must not precede)
+// and the stream metadata. Callers hold s.mu.
+func (s *IngestSource) admitLocked(sess Session, lastStart, n int64) error {
+	if sess.StartSec < lastStart {
+		return fmt.Errorf("consumelocal: ingest session %d: %w: starts at %d, before already-pushed start %d",
+			n, ErrOutOfOrder, sess.StartSec, lastStart)
+	}
+	if sess.StartSec < s.watermark {
+		return fmt.Errorf("consumelocal: ingest session %d: %w: starts at %d, behind watermark %d",
+			n, ErrOutOfOrder, sess.StartSec, s.watermark)
+	}
+	return s.meta.ValidateSession(n, sess)
+}
+
 // Advance raises the arrival watermark: a promise that no future session
 // will start before watermarkSec, which lets the replay settle every
 // reporting window the promise closes even while no sessions arrive. A
@@ -265,12 +289,6 @@ func (s *IngestSource) PushContext(ctx context.Context, sess Session) error {
 // full — unless the trailing event is already a mark, in which case the
 // two coalesce.
 func (s *IngestSource) Advance(watermarkSec int64) error {
-	return s.AdvanceContext(context.Background(), watermarkSec)
-}
-
-// AdvanceContext is Advance bounded by a context.
-func (s *IngestSource) AdvanceContext(ctx context.Context, watermarkSec int64) error {
-	defer s.wakeOnDone(ctx)()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var blockStart time.Time
@@ -280,15 +298,8 @@ func (s *IngestSource) AdvanceContext(ctx context.Context, watermarkSec int64) e
 		}
 	}()
 	for {
-		if err := s.closedLocked(); err != nil {
+		if err := s.checkAdvanceLocked(watermarkSec); err != nil {
 			return err
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if watermarkSec < s.watermark {
-			return fmt.Errorf("consumelocal: ingest watermark %w: %d regresses behind %d",
-				ErrOutOfOrder, watermarkSec, s.watermark)
 		}
 		if watermarkSec == s.watermark {
 			return nil
@@ -312,6 +323,19 @@ func (s *IngestSource) AdvanceContext(ctx context.Context, watermarkSec int64) e
 	s.watermark = watermarkSec
 	s.publishLocked()
 	s.cond.Broadcast()
+	return nil
+}
+
+// checkAdvanceLocked refuses a watermark on a closed stream or one that
+// regresses. Callers hold s.mu.
+func (s *IngestSource) checkAdvanceLocked(watermarkSec int64) error {
+	if err := s.closedLocked(); err != nil {
+		return err
+	}
+	if watermarkSec < s.watermark {
+		return fmt.Errorf("consumelocal: ingest watermark %w: %d regresses behind %d",
+			ErrOutOfOrder, watermarkSec, s.watermark)
+	}
 	return nil
 }
 

@@ -197,8 +197,71 @@ func TestIngestOutOfOrderRejected(t *testing.T) {
 	}
 }
 
+// TestIngestCheck: Check predicts exactly what Push and Advance would
+// accept — the batch's accepted prefix, ordered against the floor and
+// within itself, the refusal of the next session, and the watermark's
+// refusal — without changing the stream.
+func TestIngestCheck(t *testing.T) {
+	meta := consumelocal.TraceMeta{Name: "ingest", HorizonSec: 7200, NumUsers: 10, NumContent: 2, NumISPs: 1}
+	sess := func(start int64) consumelocal.Session {
+		return consumelocal.Session{UserID: 1, StartSec: start, DurationSec: 60, Bitrate: consumelocal.BitrateSD}
+	}
+	ing, err := consumelocal.NewIngestSource(meta, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.Push(sess(100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.Advance(150); err != nil {
+		t.Fatal(err)
+	}
+	bad := sess(400)
+	bad.UserID = 99
+	for _, tc := range []struct {
+		name     string
+		batch    []consumelocal.Session
+		accepted int
+		wantErr  func(error) bool
+	}{
+		{"in order", []consumelocal.Session{sess(150), sess(200), sess(200)}, 3, func(err error) bool { return err == nil }},
+		{"behind the watermark", []consumelocal.Session{sess(120)}, 0, isOutOfOrder},
+		{"regresses within the batch", []consumelocal.Session{sess(200), sess(300), sess(250)}, 2, isOutOfOrder},
+		{"metadata violation", []consumelocal.Session{sess(300), bad}, 1, func(err error) bool { return err != nil && !isOutOfOrder(err) }},
+	} {
+		n, err := ing.Check(tc.batch, nil)
+		if n != tc.accepted || !tc.wantErr(err) {
+			t.Fatalf("%s: Check = %d, %v; want %d accepted", tc.name, n, err, tc.accepted)
+		}
+	}
+	regress, current := int64(100), int64(150)
+	if n, err := ing.Check([]consumelocal.Session{sess(160)}, &regress); n != 1 || !isOutOfOrder(err) {
+		t.Fatalf("Check with a regressing watermark = %d, %v; want 1 accepted and ErrOutOfOrder", n, err)
+	}
+	if n, err := ing.Check(nil, &current); n != 0 || err != nil {
+		t.Fatalf("Check with the current watermark = %d, %v; want 0 accepted and nil", n, err)
+	}
+	// Nothing was changed: the floor is where the pushes left it.
+	if ing.Pushed() != 1 || ing.Watermark() != 150 || ing.Pending() != 2 {
+		t.Fatalf("after checks: pushed %d, watermark %d, pending %d; want 1, 150, 2",
+			ing.Pushed(), ing.Watermark(), ing.Pending())
+	}
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ing.Check([]consumelocal.Session{sess(500)}, nil); !errors.Is(err, consumelocal.ErrIngestClosed) {
+		t.Fatalf("Check on a sealed stream = %v, want ErrIngestClosed", err)
+	}
+	wm := int64(500)
+	if _, err := ing.Check(nil, &wm); !errors.Is(err, consumelocal.ErrIngestClosed) {
+		t.Fatalf("Check of a watermark on a sealed stream = %v, want ErrIngestClosed", err)
+	}
+}
+
+func isOutOfOrder(err error) bool { return errors.Is(err, consumelocal.ErrOutOfOrder) }
+
 // TestIngestBackpressure: a full queue blocks Push until the consumer
-// drains it; PushContext unblocks on its own context instead.
+// drains it.
 func TestIngestBackpressure(t *testing.T) {
 	meta := consumelocal.TraceMeta{Name: "ingest", HorizonSec: 7200, NumUsers: 10, NumContent: 2, NumISPs: 1}
 	sess := func(start int64) consumelocal.Session {
@@ -212,18 +275,23 @@ func TestIngestBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := ing.PushContext(ctx, sess(1)); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("blocked push = %v, want context.DeadlineExceeded", err)
+	pushed := make(chan error, 1)
+	go func() { pushed <- ing.Push(sess(1)) }()
+	select {
+	case err := <-pushed:
+		t.Fatalf("push into a full queue returned %v instead of blocking", err)
+	case <-time.After(50 * time.Millisecond):
 	}
 
-	// Draining one event frees the slot and the same push succeeds.
+	// Draining one event frees the slot and the blocked push lands.
 	if ev, err := ing.NextEvent(context.Background()); err != nil || ev.Mark {
 		t.Fatalf("NextEvent = %+v, %v", ev, err)
 	}
-	if err := ing.Push(sess(1)); err != nil {
+	if err := <-pushed; err != nil {
 		t.Fatal(err)
+	}
+	if ing.Blocked() <= 0 {
+		t.Fatal("the blocked push was not accounted in Blocked")
 	}
 }
 

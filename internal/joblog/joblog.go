@@ -40,10 +40,11 @@ const (
 	// mode and stream metadata — everything a restarted daemon needs to
 	// rebuild the registry entry.
 	TypeCreated = "created"
-	// TypeBatch records an accepted ingest batch (and the watermark it
-	// advanced to, when it carried one). Appended — and fsynced —
-	// before the push is acknowledged, so "the daemon said 200" implies
-	// "the sessions are in the journal".
+	// TypeBatch records an accepted ingest batch (and the stream's
+	// watermark as of it). Appended — and fsynced — before the sessions
+	// enter the live stream, so "the daemon said 200" implies "the
+	// sessions are in the journal", and the stream never holds a session
+	// the journal lacks.
 	TypeBatch = "batch"
 	// TypeWatermark records a watermark advance that carried no
 	// sessions.
@@ -115,8 +116,8 @@ type JobState struct {
 	Started time.Time
 	Meta    trace.Meta
 
-	// Sessions and Watermark are the job's producer-side progress
-	// (batch records summed, terminal record trusted when larger).
+	// Sessions and Watermark are the job's producer-side progress: batch
+	// records summed, until a terminal record states the final figures.
 	Sessions  int64
 	Watermark int64
 
@@ -197,6 +198,9 @@ type Journal struct {
 	buf    []byte
 	size   int64
 	faults *Faults
+	// broken is set when a failed append could not be rolled back: the
+	// file may hold refused bytes, so every later append fails too.
+	broken error
 }
 
 // Open opens (creating if needed) the journal under dir and replays
@@ -218,22 +222,18 @@ func Open(dir string) (*Journal, *Recovery, error) {
 	}
 
 	rec, good := replay(data)
+	j := &Journal{dir: dir, path: path, f: f, size: good}
 	if good < int64(len(data)) {
 		rec.TornTail = true
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("joblog: truncate torn tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("joblog: sync truncated journal: %w", err)
-		}
+		err = j.truncateLocked(good)
+	} else if _, err = f.Seek(good, 0); err != nil {
+		err = fmt.Errorf("joblog: seek journal end: %w", err)
 	}
-	if _, err := f.Seek(good, 0); err != nil {
+	if err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("joblog: seek journal end: %w", err)
+		return nil, nil, err
 	}
-	return &Journal{dir: dir, path: path, f: f, size: good}, rec, nil
+	return j, rec, nil
 }
 
 // InjectFaults installs (or, with nil, removes) the fault-injection
@@ -316,35 +316,25 @@ func (rec *Recovery) apply(states map[int]*JobState, r *Record) {
 		// replay allocates a fresh Record per frame, so retaining the
 		// pointer is safe.
 		st.Created = r
-	case TypeBatch:
+	case TypeBatch, TypeWatermark:
 		st := ensure()
-		st.Sessions += r.Sessions
-		if r.WatermarkSec > st.Watermark {
-			st.Watermark = r.WatermarkSec
+		if r.Type == TypeBatch {
+			rec.Sessions += r.Sessions
+			rec.Batches++
 		}
-		rec.Sessions += r.Sessions
-		rec.Batches++
+		// A record landing after the job ended (its op was cut short by
+		// the job ending) changes nothing: the terminal record rules.
 		if st.Status == "" {
-			st.Tail = append(st.Tail, *r)
-		}
-	case TypeWatermark:
-		st := ensure()
-		if r.WatermarkSec > st.Watermark {
-			st.Watermark = r.WatermarkSec
-		}
-		if st.Status == "" {
+			st.Sessions += r.Sessions
+			st.Watermark = max(st.Watermark, r.WatermarkSec)
 			st.Tail = append(st.Tail, *r)
 		}
 	case TypeFinished:
 		st := ensure()
 		st.Status, st.Error, st.Snapshots = r.Status, r.Error, r.Snapshots
-		st.Tail = nil
-		if r.Sessions > st.Sessions {
-			st.Sessions = r.Sessions
-		}
-		if r.WatermarkSec > st.Watermark {
-			st.Watermark = r.WatermarkSec
-		}
+		// The terminal record rules: it states the progress the job
+		// ended with, whatever ops were journalled but cut short.
+		st.Sessions, st.Watermark, st.Tail = r.Sessions, r.WatermarkSec, nil
 		// Compacted terminal records carry the created fields too.
 		if r.Name != "" && st.Name == "" {
 			st.Name = r.Name
@@ -378,24 +368,24 @@ func frame(buf []byte, r Record) ([]byte, error) {
 // Append commits one record: framed, written, fsynced. It returns only
 // once the record is durable — callers acknowledge the transition to
 // their client after Append, never before.
-func (j *Journal) Append(r Record) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appendLocked(r)
-}
+func (j *Journal) Append(r Record) error { return j.AppendBatch([]Record{r}) }
 
 // AppendBatch commits several records as one write and one fsync — the
 // chunked-batch path, where a single ingest ack may span multiple
-// frames but must cost a single commit.
+// frames but must cost a single commit. The commit is all or nothing:
+// when the write or the fsync fails, the file is truncated back to its
+// size before the append (and fsynced), so no refused record replays
+// after a restart. If that rollback fails too, the journal is broken
+// and refuses every later append — a retried fsync after a failed one
+// proves nothing about the bytes the first one covered.
 func (j *Journal) AppendBatch(recs []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appendLocked(recs...)
-}
-
-func (j *Journal) appendLocked(recs ...Record) error {
 	if j.f == nil {
 		return fmt.Errorf("joblog: append: journal closed")
+	}
+	if j.broken != nil {
+		return fmt.Errorf("joblog: append: journal broken by an earlier failed rollback: %w", j.broken)
 	}
 	buf := j.buf[:0]
 	var err error
@@ -420,9 +410,24 @@ func (j *Journal) appendLocked(recs ...Record) error {
 			}
 		}
 	}
-	n, err := j.f.Write(buf)
-	j.size += int64(n)
-	if err != nil {
+	if err := j.commitLocked(buf); err != nil {
+		if rerr := j.truncateLocked(j.size); rerr != nil {
+			j.broken = rerr
+		}
+		return err
+	}
+	j.size += int64(len(buf))
+	if j.OnAppend != nil {
+		for _, r := range recs {
+			j.OnAppend(r.Type)
+		}
+	}
+	return nil
+}
+
+// commitLocked writes buf at the end of the log and fsyncs it.
+func (j *Journal) commitLocked(buf []byte) error {
+	if _, err := j.f.Write(buf); err != nil {
 		return fmt.Errorf("joblog: append: %w", err)
 	}
 	if f := j.faults; f != nil && f.SyncErr != nil {
@@ -438,10 +443,20 @@ func (j *Journal) appendLocked(recs ...Record) error {
 	if j.OnFsync != nil {
 		j.OnFsync(time.Since(t0).Seconds())
 	}
-	if j.OnAppend != nil {
-		for _, r := range recs {
-			j.OnAppend(r.Type)
-		}
+	return nil
+}
+
+// truncateLocked cuts the log back to size bytes, durably, and moves
+// the write offset there: a torn tail on Open, a refused append after.
+func (j *Journal) truncateLocked(size int64) error {
+	if err := j.f.Truncate(size); err != nil {
+		return fmt.Errorf("joblog: truncate: %w", err)
+	}
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("joblog: sync truncated journal: %w", err)
+	}
+	if _, err := j.f.Seek(size, 0); err != nil {
+		return fmt.Errorf("joblog: seek journal end: %w", err)
 	}
 	return nil
 }
@@ -473,6 +488,10 @@ func (j *Journal) Compact(build func(*Recovery) []Record) (int64, error) {
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return 0, fmt.Errorf("joblog: compact: journal closed")
+	}
+	if j.broken != nil {
+		// The file may hold refused records a re-read would resurrect.
+		return 0, fmt.Errorf("joblog: compact: journal broken: %w", j.broken)
 	}
 	data, err := os.ReadFile(j.path)
 	if err != nil {

@@ -325,10 +325,40 @@ func TestJournalCompactPreservesTail(t *testing.T) {
 	}
 }
 
+// TestJournalTerminalRecordRules: an ingest op journalled but cut short
+// by the job ending — partly applied before the terminal record, or
+// journalled after it — does not change the job's replayed progress;
+// the terminal record's figures rule.
+func TestJournalTerminalRecordRules(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir)
+	for _, r := range []Record{
+		{Type: TypeCreated, Job: 1, Kind: "ingest", Mode: "streaming"},
+		{Type: TypeBatch, Job: 1, Sessions: 10, CSV: "rows", WatermarkSec: 600},
+		{Type: TypeFinished, Job: 1, Status: "cancelled", Sessions: 7, WatermarkSec: 300},
+		{Type: TypeBatch, Job: 1, Sessions: 5, CSV: "late", WatermarkSec: 900},
+		{Type: TypeWatermark, Job: 1, WatermarkSec: 1200},
+	} {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, rec := openT(t, dir)
+	defer j2.Close()
+	st := rec.Jobs[0]
+	if st.Status != "cancelled" || st.Sessions != 7 || st.Watermark != 300 || len(st.Tail) != 0 {
+		t.Fatalf("job state %+v, want cancelled at 7 sessions, watermark 300, no tail", st)
+	}
+}
+
 // TestJournalFaults exercises the injection seam: failed writes and
-// fsyncs surface as append errors (the daemon's 500-before-ack path),
-// a mangled frame is caught by the CRC on the next replay as a torn
-// tail, and clearing the faults restores normal service.
+// fsyncs surface as append errors (the daemon's 500-before-ack path)
+// and leave nothing behind, a mangled frame is caught by the CRC on the
+// next replay as a torn tail, and clearing the faults restores normal
+// service.
 func TestJournalFaults(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openT(t, dir)
@@ -367,11 +397,85 @@ func TestJournalFaults(t *testing.T) {
 	if !rec.TornTail {
 		t.Fatal("mangled frame not detected as a torn tail")
 	}
-	// The failed-write record never landed; the fsync-failure record may
-	// or may not be durable (here the write happened, so it is); the
-	// mangled record must be gone.
-	if rec.Sessions != 3 {
-		t.Fatalf("recovered %d sessions, want 3 (clean append + written-but-unsynced)", rec.Sessions)
+	// Neither refused record replays (the fsync-failure one was written,
+	// then rolled back); the mangled record must be gone.
+	if rec.Sessions != 2 {
+		t.Fatalf("recovered %d sessions, want 2 (the clean append only)", rec.Sessions)
+	}
+}
+
+// TestJournalFailedAppendRollsBack pins the all-or-nothing append: after
+// each injected write or fsync failure, a replay of the file as a crash
+// would leave it holds none of the refused records and no torn tail,
+// and the next clean append lands. A failure whose rollback fails too
+// breaks the journal for good.
+func TestJournalFailedAppendRollsBack(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir)
+	defer j.Close()
+	if err := j.Append(Record{Type: TypeBatch, Job: 1, Sessions: 1, CSV: "clean"}); err != nil {
+		t.Fatal(err)
+	}
+	crashReplay := func() *Recovery {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join(dir, journalName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, good := replay(raw)
+		if good != int64(len(raw)) {
+			t.Fatalf("journal has a torn tail at %d of %d bytes", good, len(raw))
+		}
+		return rec
+	}
+	want := int64(1)
+	for _, fault := range []struct {
+		kind string
+		f    Faults
+	}{
+		{"write", Faults{WriteErr: func([]byte) error { return os.ErrClosed }}},
+		{"fsync", Faults{SyncErr: func() error { return os.ErrClosed }}},
+	} {
+		j.InjectFaults(&fault.f)
+		refused := []Record{
+			{Type: TypeBatch, Job: 1, Sessions: 10, CSV: "refused-a"},
+			{Type: TypeBatch, Job: 1, Sessions: 10, CSV: "refused-b", WatermarkSec: 600},
+		}
+		if err := j.AppendBatch(refused); err == nil {
+			t.Fatalf("append with injected %s failure succeeded", fault.kind)
+		}
+		if rec := crashReplay(); rec.Sessions != want || rec.Batches != want {
+			t.Fatalf("after the %s failure the journal replays %d sessions in %d batches, want %d in %d",
+				fault.kind, rec.Sessions, rec.Batches, want, want)
+		}
+		j.InjectFaults(nil)
+		if err := j.Append(Record{Type: TypeBatch, Job: 1, Sessions: 1, CSV: "clean"}); err != nil {
+			t.Fatalf("clean append after the %s failure: %v", fault.kind, err)
+		}
+		want++
+		if rec := crashReplay(); rec.Sessions != want {
+			t.Fatalf("clean append after the %s failure: journal replays %d sessions, want %d", fault.kind, rec.Sessions, want)
+		}
+	}
+
+	// A failed write on a file that cannot be truncated either: the
+	// journal must stay failed, even once the file handle works again.
+	good := j.f
+	closed, err := os.Open(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	j.f = closed
+	if err := j.Append(Record{Type: TypeBatch, Job: 1, Sessions: 1}); err == nil {
+		t.Fatal("append to a closed file succeeded")
+	}
+	j.f = good
+	if err := j.Append(Record{Type: TypeBatch, Job: 1, Sessions: 1}); err == nil {
+		t.Fatal("append after a failed rollback succeeded; the journal must stay broken")
+	}
+	if _, err := j.Compact(CompactionPlan); err == nil {
+		t.Fatal("compaction after a failed rollback succeeded; it would resurrect refused records")
 	}
 }
 
