@@ -18,39 +18,17 @@ var _ Policy = LocalityFirst{}
 // Name implements Policy.
 func (LocalityFirst) Name() string { return "locality-first" }
 
-// groupPair is one peer in a grouping pass: sorted by (k1, k2, idx),
-// groups are runs of equal k1 and subgroups runs of equal (k1, k2).
-// Sorting replaces the map-bucket grouping of the original
-// implementation: groups still come out in ascending key order with
-// members in ascending index order, so the floating-point operation
-// sequence — and therefore the simulator's bit-for-bit results — is
-// unchanged, while the per-interval map, bucket and key-slice
-// allocations are gone.
+// groupPair is one peer in a grouping pass. MatchInto lays a pass out
+// in ascending (k1, k2, idx) order, so groups are runs of equal k1 and
+// subgroups runs of equal (k1, k2): groups come out in ascending key
+// order with members in ascending index order, which fixes the
+// floating-point operation sequence and therefore the simulator's
+// bit-for-bit results. Each order is built by sorting pooled packed
+// keys (packKey) with slices.Sort, not by comparing pairs, and then
+// expanded into the pairs the matching passes read.
 type groupPair struct {
 	k1, k2 int64
 	idx    int32
-}
-
-func cmpGroupPair(a, b groupPair) int {
-	if a.k1 != b.k1 {
-		if a.k1 < b.k1 {
-			return -1
-		}
-		return 1
-	}
-	if a.k2 != b.k2 {
-		if a.k2 < b.k2 {
-			return -1
-		}
-		return 1
-	}
-	if a.idx != b.idx {
-		if a.idx < b.idx {
-			return -1
-		}
-		return 1
-	}
-	return 0
 }
 
 // lfScratch is the reusable per-Match working state. Matching runs once
@@ -59,7 +37,9 @@ func cmpGroupPair(a, b groupPair) int {
 type lfScratch struct {
 	residD, residC []float64
 	pairs          []groupPair
-	starts         []int32 // subgroup boundaries of the current cross pass
+	keys           []uint64 // packed sort keys of the current pass
+	order          []int32  // peer indices in exchange-pass order
+	starts         []int32  // subgroup boundaries of the current cross pass
 	demand         []float64
 	capacity       []float64
 	served         []float64
@@ -76,10 +56,12 @@ func floats(buf *[]float64, n int) []float64 {
 }
 
 // grown returns a scratch slice of length n with arbitrary contents,
-// for callers that overwrite every element themselves.
-func grown(buf *[]float64, n int) []float64 {
+// for callers that overwrite every element themselves. Every pooled
+// slice is grown through its own call: the slices share a length, not
+// a capacity history.
+func grown[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
+		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
 }
@@ -131,16 +113,21 @@ func (LocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands, caps []
 	copy(residD, demands)
 	copy(residC, caps)
 
-	if cap(sc.pairs) < n {
-		sc.pairs = make([]groupPair, n)
-	}
-	pairs := sc.pairs[:n]
+	pairs := grown(&sc.pairs, n)
+	keys := grown(&sc.keys, n)
+	order := grown(&sc.order, n)
 
-	// Pass 1: within exchange points.
+	// Pass 1: within exchange points, grouped in (exchange, index)
+	// order.
 	for i, p := range peers {
-		pairs[i] = groupPair{k1: int64(p.Exchange), idx: int32(i)}
+		keys[i] = packKey(p.Exchange, i)
 	}
-	slices.SortFunc(pairs, cmpGroupPair)
+	slices.Sort(keys)
+	for j, k := range keys {
+		i := keyPos(k)
+		order[j] = i
+		pairs[j] = groupPair{k1: int64(peers[i].Exchange), idx: i}
+	}
 	for s := 0; s < n; {
 		e := s + 1
 		for e < n && pairs[e].k1 == pairs[s].k1 {
@@ -153,13 +140,19 @@ func (LocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands, caps []
 		s = e
 	}
 
-	// Pass 2: across exchanges within each PoP. Sorting by (PoP,
-	// exchange, index) makes PoPs runs and their exchange subgroups
-	// sub-runs of the same ordering.
-	for i, p := range peers {
-		pairs[i] = groupPair{k1: int64(p.PoP), k2: int64(p.Exchange), idx: int32(i)}
+	// Pass 2: across exchanges within each PoP, in (PoP, exchange,
+	// index) order, so PoPs are runs and their exchange subgroups
+	// sub-runs. Re-sorting the pass-1 order by PoP, ties broken by
+	// position in that order, is a stable sort that yields it.
+	for j, i := range order {
+		keys[j] = packKey(peers[i].PoP, j)
 	}
-	slices.SortFunc(pairs, cmpGroupPair)
+	slices.Sort(keys)
+	for j, k := range keys {
+		i := order[keyPos(k)]
+		p := peers[i]
+		pairs[j] = groupPair{k1: int64(p.PoP), k2: int64(p.Exchange), idx: i}
+	}
 	for s := 0; s < n; {
 		e := s + 1
 		for e < n && pairs[e].k1 == pairs[s].k1 {
@@ -170,11 +163,16 @@ func (LocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands, caps []
 		s = e
 	}
 
-	// Pass 3: across PoPs through the core.
+	// Pass 3: across PoPs through the core, in (PoP, index) order.
 	for i, p := range peers {
-		pairs[i] = groupPair{k1: int64(p.PoP), k2: int64(p.PoP), idx: int32(i)}
+		keys[i] = packKey(p.PoP, i)
 	}
-	slices.SortFunc(pairs, cmpGroupPair)
+	slices.Sort(keys)
+	for j, k := range keys {
+		i := keyPos(k)
+		pop := int64(peers[i].PoP)
+		pairs[j] = groupPair{k1: pop, k2: pop, idx: i}
+	}
 	flows := crossMatch(sc, pairs, residD, residC)
 	record(alloc, energy.LayerCore, flows, pairs, residD, residC, demands, caps)
 

@@ -26,6 +26,7 @@ package matching
 
 import (
 	"errors"
+	"math"
 
 	"consumelocal/internal/energy"
 )
@@ -91,12 +92,20 @@ type Policy interface {
 // errMismatchedInputs is returned when the parallel slices disagree.
 var errMismatchedInputs = errors.New("matching: peers, demands and caps must have equal length")
 
+// errEndpointRange is returned when a peer's exchange or PoP does not
+// fit in an int32, the range packKey orders correctly.
+var errEndpointRange = errors.New("matching: peer exchange and PoP must fit in an int32")
+
 // validate checks the common preconditions and returns the total demand.
 func validate(peers []Peer, demands, caps []float64) (totalDemand float64, err error) {
 	if len(peers) != len(demands) || len(peers) != len(caps) {
 		return 0, errMismatchedInputs
 	}
-	for i := range demands {
+	for i, p := range peers {
+		if p.Exchange < math.MinInt32 || p.Exchange > math.MaxInt32 ||
+			p.PoP < math.MinInt32 || p.PoP > math.MaxInt32 {
+			return 0, errEndpointRange
+		}
 		if demands[i] < 0 || caps[i] < 0 {
 			return 0, errors.New("matching: demands and capacities must be non-negative")
 		}
@@ -104,6 +113,19 @@ func validate(peers []Peer, demands, caps []float64) (totalDemand float64, err e
 	}
 	return totalDemand, nil
 }
+
+// packKey packs a grouping key and a position into one uint64 whose
+// unsigned order is (key, pos): the key, with its sign bit flipped so
+// that signed int32 order becomes unsigned order, fills the high 32
+// bits and the position the low 32. Sorting packed keys with
+// slices.Sort orders peers by key, ties broken by position, without a
+// comparator call. validate guarantees the key fits in an int32.
+func packKey(key, pos int) uint64 {
+	return uint64(uint32(int32(key))^1<<31)<<32 | uint64(uint32(pos))
+}
+
+// keyPos returns the position packed into a key by packKey.
+func keyPos(k uint64) int32 { return int32(uint32(k)) }
 
 // reset prepares a as the no-sharing allocation over n peers: zeroed
 // layer and per-peer vectors, the whole demand on the server. The

@@ -1,8 +1,10 @@
 package matching
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -408,5 +410,47 @@ func TestPairLocalisation(t *testing.T) {
 	}
 	if ex, pop := pairLocalisation(nil); ex != 0 || pop != 0 {
 		t.Error("empty input should yield zero probabilities")
+	}
+}
+
+// TestValidateEndpointRange pins packKey's precondition: an exchange or
+// PoP outside the int32 range is refused, by both policies, instead of
+// being grouped in the wrong order; the int32 extremes themselves are
+// accepted.
+func TestValidateEndpointRange(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("int is 32 bits wide: every endpoint fits in an int32")
+	}
+	var one int64 = 1
+	above, below := int(math.MaxInt32+one), int(math.MinInt32-one)
+	cases := []struct {
+		name string
+		peer Peer
+		ok   bool
+	}{
+		{"zero", Peer{}, true},
+		{"exchange max", Peer{Exchange: math.MaxInt32}, true},
+		{"exchange min", Peer{Exchange: math.MinInt32}, true},
+		{"pop max", Peer{PoP: math.MaxInt32}, true},
+		{"pop min", Peer{PoP: math.MinInt32}, true},
+		{"exchange above", Peer{Exchange: above}, false},
+		{"exchange below", Peer{Exchange: below}, false},
+		{"pop above", Peer{PoP: above}, false},
+		{"pop below", Peer{PoP: below}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// The offending peer sits second so the check must scan.
+			peers := []Peer{{Exchange: 1, PoP: 1}, tc.peer}
+			for _, p := range policies() {
+				_, err := p.Match(peers, []float64{1, 1}, []float64{1, 1}, -1)
+				if tc.ok && err != nil {
+					t.Errorf("%s: unexpected error %v", p.Name(), err)
+				}
+				if !tc.ok && !errors.Is(err, errEndpointRange) {
+					t.Errorf("%s: error %v, want %v", p.Name(), err, errEndpointRange)
+				}
+			}
+		})
 	}
 }

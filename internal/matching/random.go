@@ -24,9 +24,9 @@ var _ Policy = Random{}
 func (Random) Name() string { return "random" }
 
 // rndScratch is the reusable per-MatchInto working state: one sortable
-// key slice for the pair-localisation counting passes.
+// packed-key slice for the pair-localisation counting passes.
 type rndScratch struct {
-	pairs []groupPair
+	keys []uint64
 }
 
 var rndPool = sync.Pool{New: func() any { return new(rndScratch) }}
@@ -95,10 +95,10 @@ func (Random) MatchInto(alloc *Allocation, peers []Peer, demands, caps []float64
 // pairLocalisation returns the probability that a uniformly random ordered
 // pair of distinct peers shares an exchange point, and the probability it
 // shares a PoP (which includes the same-exchange case). Co-location is
-// counted by sorting a pooled key slice and summing k·(k−1) over equal
-// runs — the counts are exact integers, so the result is identical to the
-// former map-based counting regardless of summation order, without the
-// two per-interval map allocations.
+// counted by sorting a pooled packed-key slice and summing k·(k−1) over
+// runs of equal key — the counts are exact integers, so the result is
+// identical to the former map-based counting regardless of summation
+// order, without the two per-interval map allocations.
 func pairLocalisation(peers []Peer) (sameExchange, samePoP float64) {
 	n := len(peers)
 	if n < 2 {
@@ -106,31 +106,28 @@ func pairLocalisation(peers []Peer) (sameExchange, samePoP float64) {
 	}
 	sc := rndPool.Get().(*rndScratch)
 	defer rndPool.Put(sc)
-	if cap(sc.pairs) < n {
-		sc.pairs = make([]groupPair, n)
-	}
-	pairs := sc.pairs[:n]
+	keys := grown(&sc.keys, n)
 
 	pairsTotal := float64(n) * float64(n-1)
 	for i, p := range peers {
-		pairs[i] = groupPair{k1: int64(p.Exchange), idx: int32(i)}
+		keys[i] = packKey(p.Exchange, 0)
 	}
-	exPairs := coLocatedPairs(pairs)
+	exPairs := coLocatedPairs(keys)
 	for i, p := range peers {
-		pairs[i] = groupPair{k1: int64(p.PoP), idx: int32(i)}
+		keys[i] = packKey(p.PoP, 0)
 	}
-	popPairs := coLocatedPairs(pairs)
+	popPairs := coLocatedPairs(keys)
 	return exPairs / pairsTotal, popPairs / pairsTotal
 }
 
-// coLocatedPairs sorts the keys and returns Σ k·(k−1) over equal-key
-// runs: the number of ordered pairs of distinct peers sharing a key.
-func coLocatedPairs(pairs []groupPair) float64 {
-	slices.SortFunc(pairs, cmpGroupPair)
+// coLocatedPairs sorts the keys and returns Σ k·(k−1) over runs of equal
+// key: the number of ordered pairs of distinct peers sharing a key.
+func coLocatedPairs(keys []uint64) float64 {
+	slices.Sort(keys)
 	var total float64
-	for s := 0; s < len(pairs); {
+	for s := 0; s < len(keys); {
 		e := s + 1
-		for e < len(pairs) && pairs[e].k1 == pairs[s].k1 {
+		for e < len(keys) && keys[e] == keys[s] {
 			e++
 		}
 		k := float64(e - s)

@@ -1,0 +1,250 @@
+package matching
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"consumelocal/internal/energy"
+)
+
+// referenceLocalityFirst is LocalityFirst as it was before grouping moved
+// to packed uint64 keys: each grouping pass sorts (k1, k2, index) triples
+// with a three-field comparator. It is kept, test-only, as the oracle the
+// packed-key implementation must match bit for bit.
+type referenceLocalityFirst struct{}
+
+func refCmpGroupPair(a, b groupPair) int {
+	if a.k1 != b.k1 {
+		if a.k1 < b.k1 {
+			return -1
+		}
+		return 1
+	}
+	if a.k2 != b.k2 {
+		if a.k2 < b.k2 {
+			return -1
+		}
+		return 1
+	}
+	if a.idx != b.idx {
+		if a.idx < b.idx {
+			return -1
+		}
+		return 1
+	}
+	return 0
+}
+
+// MatchInto is the comparator-sort MatchInto, unchanged apart from taking
+// a fresh scratch per call instead of a pooled one.
+func (referenceLocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands, caps []float64, budget float64) error {
+	totalDemand, err := validate(peers, demands, caps)
+	if err != nil {
+		return err
+	}
+	n := len(peers)
+	alloc.reset(n, totalDemand)
+	if n < 2 || budget == 0 {
+		return nil
+	}
+
+	sc := new(lfScratch)
+
+	residD := grown(&sc.residD, n)
+	residC := grown(&sc.residC, n)
+	copy(residD, demands)
+	copy(residC, caps)
+
+	pairs := make([]groupPair, n)
+
+	// Pass 1: within exchange points.
+	for i, p := range peers {
+		pairs[i] = groupPair{k1: int64(p.Exchange), idx: int32(i)}
+	}
+	slices.SortFunc(pairs, refCmpGroupPair)
+	for s := 0; s < n; {
+		e := s + 1
+		for e < n && pairs[e].k1 == pairs[s].k1 {
+			e++
+		}
+		if e-s >= 2 {
+			flow := matchWithin(pairs[s:e], residD, residC)
+			record(alloc, energy.LayerExchange, flow, pairs[s:e], residD, residC, demands, caps)
+		}
+		s = e
+	}
+
+	// Pass 2: across exchanges within each PoP.
+	for i, p := range peers {
+		pairs[i] = groupPair{k1: int64(p.PoP), k2: int64(p.Exchange), idx: int32(i)}
+	}
+	slices.SortFunc(pairs, refCmpGroupPair)
+	for s := 0; s < n; {
+		e := s + 1
+		for e < n && pairs[e].k1 == pairs[s].k1 {
+			e++
+		}
+		flows := crossMatch(sc, pairs[s:e], residD, residC)
+		record(alloc, energy.LayerPoP, flows, pairs[s:e], residD, residC, demands, caps)
+		s = e
+	}
+
+	// Pass 3: across PoPs through the core.
+	for i, p := range peers {
+		pairs[i] = groupPair{k1: int64(p.PoP), k2: int64(p.PoP), idx: int32(i)}
+	}
+	slices.SortFunc(pairs, refCmpGroupPair)
+	flows := crossMatch(sc, pairs, residD, residC)
+	record(alloc, energy.LayerCore, flows, pairs, residD, residC, demands, caps)
+
+	applyBudget(alloc, budget)
+	return nil
+}
+
+// diffCase draws one matching interval for the differential test. The
+// shapes cover what packed-key grouping must get right: the default
+// round-robin topology, heavy exchange ties, negative IDs, PoPs that
+// are not a function of the exchange, int32-extreme IDs and the
+// per-ISP namespacing of the AnyISP ablation; budgets are unbounded,
+// zero, binding or slack.
+func diffCase(rng *rand.Rand, n int) (peers []Peer, demands, caps []float64, budget float64) {
+	extremes := []int{math.MinInt32, math.MinInt32 + 1, -1, 0, 1, math.MaxInt32 - 1, math.MaxInt32}
+	peers = make([]Peer, n)
+	demands = make([]float64, n)
+	caps = make([]float64, n)
+	shape := rng.Intn(6)
+	span := 1 + rng.Intn(8)
+	for i := range peers {
+		var ex, pop int
+		switch shape {
+		case 0: // default topology, round-robin PoPs
+			ex = rng.Intn(345)
+			pop = ex % 9
+		case 1: // few exchanges: long runs of ties
+			ex = rng.Intn(span)
+			pop = ex % (1 + rng.Intn(2))
+		case 2: // negative IDs, PoP independent of exchange
+			ex = rng.Intn(2*span+1) - span - 1000
+			pop = rng.Intn(7) - 3
+		case 3: // int32 extremes
+			ex = extremes[rng.Intn(len(extremes))]
+			pop = extremes[rng.Intn(len(extremes))]
+		case 4: // AnyISP namespacing: ISP-strided exchanges and PoPs
+			isp := rng.Intn(5)
+			ex = rng.Intn(345)
+			pop = ex%9 + isp*9
+			ex += isp * 345
+		default: // every peer in one exchange
+			ex, pop = -7, 3
+		}
+		peers[i] = Peer{User: uint32(i), Exchange: ex, PoP: pop}
+		switch rng.Intn(4) {
+		case 0:
+			demands[i] = 0
+		case 1:
+			demands[i] = float64(1+rng.Intn(1000)) * 1e6
+		default:
+			demands[i] = rng.Float64() * 3e8
+		}
+		switch rng.Intn(4) {
+		case 0:
+			caps[i] = 0
+		case 1:
+			caps[i] = float64(rng.Intn(800)) * 1e6
+		default:
+			caps[i] = rng.Float64() * 2e8
+		}
+	}
+	var sumCaps float64
+	for _, c := range caps {
+		sumCaps += c
+	}
+	switch rng.Intn(4) {
+	case 0:
+		budget = -1
+	case 1:
+		budget = 0
+	case 2:
+		budget = sumCaps * rng.Float64() / 2 // usually binds
+	default:
+		budget = 2*sumCaps + 1 // never binds
+	}
+	return peers, demands, caps, budget
+}
+
+// checkAgainstReference runs LocalityFirst through a recycled
+// Allocation and the comparator-sort reference through a fresh one, and
+// requires the same error outcome and, on success, bit-identical
+// results.
+func checkAgainstReference(t *testing.T, label string, reused *Allocation, peers []Peer, demands, caps []float64, budget float64) {
+	t.Helper()
+	var want Allocation
+	wantErr := referenceLocalityFirst{}.MatchInto(&want, peers, demands, caps, budget)
+	gotErr := LocalityFirst{}.MatchInto(reused, peers, demands, caps, budget)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: error %v, reference error %v", label, gotErr, wantErr)
+	}
+	if gotErr == nil {
+		allocationsEqual(t, label, reused, want)
+	}
+}
+
+// TestMatchIntoMatchesReference is the differential test of packed-key
+// grouping against the comparator-sort implementation it replaced:
+// 100k seeded random intervals must match bit for bit. Sizes are drawn
+// independently per case, so one recycled Allocation and the pooled
+// scratch keep growing and shrinking between calls.
+func TestMatchIntoMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var reused Allocation
+	for c := 0; c < 100_000; c++ {
+		n := 1 + rng.Intn(300)
+		if c%3 == 0 {
+			n = 1 + rng.Intn(12) // small swarms are the common case
+		}
+		peers, demands, caps, budget := diffCase(rng, n)
+		checkAgainstReference(t, fmt.Sprintf("case %d (n=%d)", c, n), &reused, peers, demands, caps, budget)
+	}
+}
+
+// FuzzMatchIntoReference checks LocalityFirst against the reference on
+// fuzzer-chosen intervals. Every four bytes of data make one peer
+// (exchange, PoP, demand, capacity); scale stretches the IDs, up to and
+// past the int32 range validate enforces; budgetFrac < 0 means
+// unbounded, otherwise the budget is that fraction of total capacity.
+func FuzzMatchIntoReference(f *testing.F) {
+	f.Add([]byte{0, 0, 10, 0, 0, 0, 0, 15, 9, 0, 10, 0, 9, 0, 0, 5}, int32(1), -1.0)
+	f.Add([]byte{1, 1, 200, 50, 2, 1, 30, 90, 255, 128, 7, 7, 3, 1, 0, 255, 1, 2, 100, 100}, int32(-3), 0.25)
+	f.Add([]byte{127, 127, 1, 2, 128, 128, 3, 4, 127, 128, 5, 6}, int32(math.MaxInt32/127), 2.0)
+	f.Add([]byte{5, 5, 5, 5}, int32(1), 0.0)
+	f.Fuzz(func(t *testing.T, data []byte, scale int32, budgetFrac float64) {
+		n := len(data) / 4
+		if n > 512 {
+			n = 512
+		}
+		peers := make([]Peer, n)
+		demands := make([]float64, n)
+		caps := make([]float64, n)
+		var sumCaps float64
+		for i := range peers {
+			b := data[4*i : 4*i+4]
+			peers[i] = Peer{
+				User:     uint32(i),
+				Exchange: int(int8(b[0])) * int(scale),
+				PoP:      int(int8(b[1])) * int(scale),
+			}
+			demands[i] = float64(b[2]) * 1e6 / 7
+			caps[i] = float64(b[3]) * 1e6 / 3
+			sumCaps += caps[i]
+		}
+		budget := -1.0
+		if budgetFrac >= 0 && !math.IsInf(budgetFrac, 0) {
+			budget = budgetFrac * sumCaps
+		}
+		var reused Allocation
+		checkAgainstReference(t, "fuzz", &reused, peers, demands, caps, budget)
+	})
+}

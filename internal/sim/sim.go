@@ -142,7 +142,10 @@ func (c Config) Validate() error { return c.validate() }
 // when a swarm spans ISPs (ablation mode), peers from different ISPs can
 // never share an exchange or PoP — their traffic meets at the core,
 // modelling inter-ISP exchange through the metro core / peering fabric.
-// The topology must be set (use WithDefaults).
+// Matching requires endpoints in the int32 range; trace exchanges are
+// uint16 and ISPs uint8, so even the namespaced IDs stay far inside it
+// (under 65536 + 255·345 on the default topology). The topology must be
+// set (use WithDefaults).
 func (c Config) PeerEndpoint(s trace.Session, key swarm.Key) matching.Peer {
 	exchange := int(s.Exchange)
 	pop := c.Topology.PoPOf(exchange)
