@@ -30,10 +30,10 @@ test:
 
 ## race: race-check the concurrent subsystems (Replay API layer,
 ## streaming engine, parallel simulator, daemon job manager, job
-## journal, load generator, incremental swarm)
+## journal, load generator, incremental swarm, pooled matching scratch)
 race:
 	$(GO) test -race . ./internal/engine/... ./internal/sim/... ./cmd/consumelocald/... \
-		./internal/joblog/... ./internal/loadgen/... ./internal/swarm/...
+		./internal/joblog/... ./internal/loadgen/... ./internal/matching/... ./internal/swarm/...
 
 ## bench: the reproduction's benchmark report at reduced scale, then
 ## the replay perf-trajectory harness (writes BENCH_replay.json with

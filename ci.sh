@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI gate: every PR must build cleanly, pass vet and the formatting
 # check, pass the tier-1 test suite, and race-check the concurrent
-# subsystems: the streaming engine, the Replay API layer (root package)
-# and the consumelocald job manager. It also refuses committed build
+# subsystems: the streaming engine, the Replay API layer (root package),
+# the consumelocald job manager and the pooled matching scratch. It also refuses committed build
 # artifacts: a PR once shipped an 8.9 MB consumelocald binary at the
 # repo root, and that class of mistake must never land again.
 set -eux
@@ -29,7 +29,7 @@ fmt_drift="$(gofmt -s -l .)"
 test -z "$fmt_drift"
 go test ./...
 go test -race . ./internal/engine/... ./cmd/consumelocald/... \
-	./internal/joblog/... ./internal/loadgen/... ./internal/sim/... ./internal/swarm/...
+	./internal/joblog/... ./internal/loadgen/... ./internal/matching/... ./internal/sim/... ./internal/swarm/...
 # Write-ahead ordering stress: the live stream and the journal once
 # diverged under racing producers on only a few percent of runs, so the
 # durable racing-producer and fault-injection tests run 30 times each.

@@ -56,3 +56,30 @@ func BenchmarkShardBatchFeed(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(tr.Sessions)), "sessions/op")
 }
+
+// BenchmarkStreamShortWindows replays a replay-vod-shaped trace (scale
+// 0.01, 2 days) at 600 s windows with 2 workers: 288 window marks, so
+// any cost paid per mark — such as workers idling at a barrier while
+// the feed collects their replies — shows in sessions/s.
+// BenchmarkReplayStreaming's 24 h windows hide it.
+func BenchmarkStreamShortWindows(b *testing.B) {
+	gcfg := trace.DefaultGeneratorConfig(0.01)
+	gcfg.Days = 2
+	tr, err := trace.Generate(gcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Sim: sim.DefaultConfig(1.0), WindowSec: 600, Workers: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run, err := Stream(TraceSource(tr), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := run.Result(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(tr.Sessions))*float64(b.N)/b.Elapsed().Seconds(), "sessions/s")
+}

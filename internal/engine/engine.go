@@ -56,8 +56,10 @@ type Config struct {
 	// 64.
 	Workers int
 	// SnapshotBuffer bounds the snapshot channel. When the consumer lags
-	// by more than this many windows the pipeline blocks — backpressure
-	// propagates through the workers to the input reader. Defaults to 4.
+	// by more than this many windows (plus the few window marks the feed
+	// may run ahead of the snapshots) the pipeline blocks — backpressure
+	// propagates through the snapshot merge to the input reader.
+	// Defaults to 4.
 	SnapshotBuffer int
 	// Stats, when non-nil, receives per-stage instrumentation: workers
 	// accumulate settle time per window mark. The counters are atomics,
@@ -161,7 +163,8 @@ func Stream(src Source, cfg Config) (*Run, error) {
 // feed loop stops reading the source, stops emitting snapshots, closes
 // the worker inputs and unwinds, so every pipeline goroutine exits even
 // if the snapshot consumer has walked away. Run.Result then reports
-// ctx.Err(). Cancellation is observed between sessions and at every
+// context.Cause(ctx), which is ctx.Err() unless the caller cancelled
+// with a cause. Cancellation is observed between sessions and at every
 // channel hand-off; it cannot interrupt a plain Source blocked inside
 // Next (a LiveSource blocks ctx-aware in NextEvent, so live replays
 // unwind even while the producer is silent).
@@ -179,7 +182,19 @@ func StreamContext(ctx context.Context, src Source, cfg Config) (*Run, error) {
 		snapshots: make(chan Snapshot, cfg.SnapshotBuffer),
 		done:      make(chan struct{}),
 	}
-	go r.feed(ctx, src, cfg)
+	// A failing worker or source cancels the pipeline with its error as
+	// the cause, so every stage unwinds and Result reports that error.
+	ctx, fail := context.WithCancelCause(ctx)
+	inputs := make([]chan wmsg, cfg.Workers)
+	acks := make([]chan ack, cfg.Workers)
+	for i := range inputs {
+		inputs[i] = make(chan wmsg, 4)
+		acks[i] = make(chan ack, pipelineDepth+1)
+		go newWorker(cfg, meta).run(inputs[i], acks[i])
+	}
+	pending := make(chan window, pipelineDepth)
+	go r.feed(ctx, fail, src, cfg, inputs, pending)
+	go r.collect(ctx, fail, cfg, pending, acks)
 	return r, nil
 }
 
@@ -195,6 +210,13 @@ type item struct {
 // of magnitude versus one send per session — channel synchronisation was
 // the dominant pipeline overhead, not the sends' payload.
 const sessionBatchSize = 256
+
+// pipelineDepth is how many window headers the feed may queue for the
+// collector: the feed runs at most this many marks (plus the one being
+// merged) ahead of the last emitted snapshot. Worker ack channels hold
+// pipelineDepth+1 replies, which is what keeps worker sends non-blocking
+// (see feed).
+const pipelineDepth = 4
 
 // batchPool recycles batch slices between the feed and the workers, so
 // the steady-state hand-off allocates nothing but the pool's pointer
@@ -225,149 +247,121 @@ type wmsg struct {
 	batch []item
 }
 
-// ack is a worker's reply to one window mark.
+// window is the header of one window mark: everything its snapshot
+// needs besides the workers' replies. The feed queues it for the
+// collector before broadcasting the mark.
+type window struct {
+	index        int
+	from, to     int64
+	sessionsSeen int64
+	final        bool
+}
+
+// ack is a worker's reply to one window mark. The reply to the final
+// mark also carries the worker's shard outcome.
 type ack struct {
-	worker int
 	delta  sim.Tally
 	active int
 	swarms int
 	err    error
+	report *report
 }
 
 // report is a worker's final shard outcome.
 type report struct {
-	worker int
-	stats  []sim.SwarmStats
-	days   [][]sim.Tally
-	users  map[uint32]*sim.UserStats
-	err    error
+	stats []sim.SwarmStats
+	days  [][]sim.Tally
+	users map[uint32]*sim.UserStats
 }
 
 // feed is the coordinator goroutine: it pulls sessions from the source,
-// shards them across workers by swarm key, broadcasts window marks as
-// the arrival watermark crosses boundaries, merges worker deltas into
-// snapshots, and assembles the final result in deterministic key order.
+// shards them across workers by swarm key and, each time the arrival
+// watermark crosses a window boundary, queues the window's header for
+// the collector and broadcasts the mark. It never waits for the
+// workers' replies, so workers keep settling while the feed reads the
+// next window's sessions. On failure it cancels the pipeline with the
+// error; on any exit it closes the worker inputs.
 //
-// Liveness invariant: the acks and reports channels are buffered to the
-// worker count and a worker sends at most one ack per mark it has
-// received (and one report, on the final mark), so worker sends never
-// block. Workers therefore always drain their inputs and exit when the
-// feed closes them — the only goroutine that can stall is the feed
-// itself, on a worker input or the snapshot channel, and both of those
-// sends select on ctx so cancellation unwinds the whole pipeline.
-func (r *Run) feed(ctx context.Context, src Source, cfg Config) {
-	defer close(r.done)
-	defer close(r.snapshots)
-
-	inputs := make([]chan wmsg, cfg.Workers)
-	acks := make(chan ack, cfg.Workers)
-	reports := make(chan report, cfg.Workers)
-	for i := range inputs {
-		inputs[i] = make(chan wmsg, 4)
-		w := newWorker(i, cfg, r.meta)
-		go w.run(inputs[i], acks, reports)
-	}
+// Ordering: each worker's input is FIFO, and every session arriving
+// ahead of a mark is handed to its worker ahead of that mark, so a
+// worker sees exactly the message sequence a synchronous barrier would
+// give it. The collector reads each worker's acks in mark order from
+// that worker's own channel and merges them in worker order, so every
+// snapshot is the one a barrier would have produced.
+//
+// Liveness: a header is queued before its mark is sent, so marks sent
+// never outnumber headers queued. The pending channel holds
+// pipelineDepth headers and the collector holds at most one, so a
+// worker has at most pipelineDepth+1 unread acks — exactly its ack
+// buffer — and worker sends never block, whether or not the collector
+// is still reading. Workers therefore always drain their inputs and
+// exit when the feed closes them. The feed can stall only on a worker
+// input or the pending channel, the collector only on a worker ack or
+// the snapshot channel; every one of those waits selects on ctx, so a
+// cancellation, or a failure cancelling with its cause, unwinds the
+// whole pipeline. An undrained snapshot consumer stalls the collector,
+// then the feed, by design.
+func (r *Run) feed(ctx context.Context, fail context.CancelCauseFunc, src Source, cfg Config, inputs []chan wmsg, pending chan<- window) {
+	defer func() {
+		for i := range inputs {
+			close(inputs[i])
+		}
+	}()
 
 	var (
 		sessionsSeen int64
 		prevStart    int64 = -1
 		windowIdx    int
 		boundary     = cfg.WindowSec
-		cum          sim.Tally
-		ferr         error
-		deltas       = make([]sim.Tally, cfg.Workers)
 		// pend accumulates each shard's in-flight session batch; a batch
 		// is handed off when full or ahead of a window mark.
 		pend = make([][]item, cfg.Workers)
 	)
 
 	// sendBatch hands shard i's pending batch to its worker. It reports
-	// false (and records the cancellation) once ctx is done.
+	// false once ctx is done.
 	sendBatch := func(i int) bool {
 		select {
 		case inputs[i] <- wmsg{batch: pend[i]}:
 			pend[i] = nil
 			return true
 		case <-ctx.Done():
-			if ferr == nil {
-				ferr = ctx.Err()
-			}
 			return false
 		}
 	}
 
-	// flush broadcasts a mark, merges the worker acks in worker order
-	// (deterministic for a fixed worker count) and emits a snapshot.
-	// Pending batches are handed off first: every session arriving ahead
-	// of the mark must reach its worker ahead of it. It reports false
-	// once any worker has failed or ctx is done.
-	flush := func(until int64, final bool) bool {
+	// mark closes the current window at until: it queues the window's
+	// header for the collector, then hands every worker its pending
+	// batch and the mark. It reports false once ctx is done.
+	mark := func(until int64, final bool) bool {
+		h := window{
+			index:        windowIdx,
+			from:         int64(windowIdx) * cfg.WindowSec,
+			to:           until,
+			sessionsSeen: sessionsSeen,
+			final:        final,
+		}
+		if final {
+			h.to = max(r.meta.HorizonSec, h.from)
+		}
+		select {
+		case pending <- h:
+		case <-ctx.Done():
+			return false
+		}
 		msg := wmsg{mark: true, final: final, until: until}
-		sent := 0
 		for i := range inputs {
 			if len(pend[i]) > 0 && !sendBatch(i) {
-				break
+				return false
 			}
 			select {
 			case inputs[i] <- msg:
-				sent++
 			case <-ctx.Done():
-				if ferr == nil {
-					ferr = ctx.Err()
-				}
-			}
-			if ferr != nil {
-				break
+				return false
 			}
 		}
-		var active, swarms int
-		for n := 0; n < sent; n++ {
-			// Safe to receive unconditionally: every worker that got the
-			// mark replies, and its send never blocks (buffered channel).
-			//consumelocal:ignore ctxsend every marked worker acks exactly once on a buffered channel, so this receive cannot stall
-			a := <-acks
-			deltas[a.worker] = a.delta
-			active += a.active
-			swarms += a.swarms
-			if a.err != nil && ferr == nil {
-				ferr = a.err
-			}
-		}
-		if ferr != nil {
-			return false
-		}
-		var delta sim.Tally
-		for _, d := range deltas {
-			delta.Add(d)
-		}
-		cum.Add(delta)
-		from := int64(windowIdx) * cfg.WindowSec
-		to := until
-		if final {
-			to = r.meta.HorizonSec
-			if to < from {
-				to = from
-			}
-		}
-		snap := Snapshot{
-			Index:         windowIdx,
-			FromSec:       from,
-			ToSec:         to,
-			SessionsSeen:  sessionsSeen,
-			ActiveMembers: active,
-			Swarms:        swarms,
-			Delta:         delta,
-			Cumulative:    cum,
-			Final:         final,
-		}
-		select {
-		case r.snapshots <- snap:
-			return true
-		case <-ctx.Done():
-			// The consumer has walked away and cancelled: stop emitting.
-			ferr = ctx.Err()
-			return false
-		}
+		windowIdx++
+		return true
 	}
 
 	// A LiveSource delivers watermark marks interleaved with sessions and
@@ -375,11 +369,7 @@ func (r *Run) feed(ctx context.Context, src Source, cfg Config) {
 	// producer is silent.
 	live, isLive := src.(LiveSource)
 
-	for ferr == nil {
-		if err := ctx.Err(); err != nil {
-			ferr = err
-			break
-		}
+	for ctx.Err() == nil {
 		var s trace.Session
 		var err error
 		if isLive {
@@ -390,16 +380,11 @@ func (r *Run) feed(ctx context.Context, src Source, cfg Config) {
 				// settle every reporting window the promise closes, then
 				// raise the ordering floor so a later session violating
 				// the promise is rejected like any out-of-order arrival.
-				wm := ev.WatermarkSec
-				if wm > r.meta.HorizonSec {
-					wm = r.meta.HorizonSec
-				}
-				for wm >= boundary {
-					if !flush(boundary, false) {
-						break
+				wm := min(ev.WatermarkSec, r.meta.HorizonSec)
+				for ; wm >= boundary; boundary += cfg.WindowSec {
+					if !mark(boundary, false) {
+						return
 					}
-					windowIdx++
-					boundary += cfg.WindowSec
 				}
 				if ev.WatermarkSec > prevStart {
 					prevStart = ev.WatermarkSec
@@ -411,26 +396,28 @@ func (r *Run) feed(ctx context.Context, src Source, cfg Config) {
 			s, err = src.Next()
 		}
 		if err == io.EOF {
-			break
+			// Final mark: settle everything pending (including activity
+			// past the last window boundary and beyond the horizon) and
+			// emit the closing snapshot.
+			mark(math.MaxInt64, true)
+			return
 		}
 		if err != nil {
 			// Cancellation often surfaces as a source read error first
 			// (e.g. an HTTP body closed by the disconnecting client);
 			// report the cancellation, not the secondary error.
-			if cerr := ctx.Err(); cerr != nil {
-				ferr = cerr
-			} else {
-				ferr = fmt.Errorf("engine: read source: %w", err)
+			if ctx.Err() == nil {
+				fail(fmt.Errorf("engine: read source: %w", err))
 			}
-			break
+			return
 		}
 		if err := r.meta.ValidateSession(sessionsSeen, s); err != nil {
-			ferr = fmt.Errorf("engine: %w", err)
-			break
+			fail(fmt.Errorf("engine: %w", err))
+			return
 		}
 		if s.StartSec < prevStart {
-			ferr = fmt.Errorf("engine: session %d out of start order", sessionsSeen)
-			break
+			fail(fmt.Errorf("engine: session %d out of start order", sessionsSeen))
+			return
 		}
 		prevStart = s.StartSec
 		sessionsSeen++
@@ -446,15 +433,10 @@ func (r *Run) feed(ctx context.Context, src Source, cfg Config) {
 			s.DurationSec = int32(end - start)
 		}
 
-		for s.StartSec >= boundary {
-			if !flush(boundary, false) {
-				break
+		for ; s.StartSec >= boundary; boundary += cfg.WindowSec {
+			if !mark(boundary, false) {
+				return
 			}
-			windowIdx++
-			boundary += cfg.WindowSec
-		}
-		if ferr != nil {
-			break
 		}
 		shard := shardOf(key, cfg.Workers)
 		if pend[shard] == nil {
@@ -462,41 +444,84 @@ func (r *Run) feed(ctx context.Context, src Source, cfg Config) {
 		}
 		pend[shard] = append(pend[shard], item{sess: s, key: key, origDur: origDur})
 		if len(pend[shard]) == sessionBatchSize && !sendBatch(shard) {
-			break
+			return
 		}
 	}
+}
 
-	// Final mark: settle everything pending (including activity past the
-	// last window boundary and beyond the horizon) and emit the closing
-	// snapshot, unless the run already failed.
-	if ferr == nil {
-		flush(math.MaxInt64, true)
-	}
-	for i := range inputs {
-		close(inputs[i])
-	}
-	if ferr != nil {
-		// Failed or cancelled: workers drain their queues and exit on the
-		// input close without reporting (their ack/report sends are
-		// buffered, so none of them can stall). Discard the run.
-		r.err = ferr
-		return
-	}
+// collect is the merging goroutine: for each window header the feed
+// queues, it reads one ack from every worker, merges the deltas in
+// worker order (deterministic for a fixed worker count) and emits the
+// snapshot. After the final snapshot it assembles the result from the
+// reports the final acks carry. A worker error cancels the pipeline
+// with that error. It closes Snapshots, then marks the run done.
+func (r *Run) collect(ctx context.Context, fail context.CancelCauseFunc, cfg Config, pending <-chan window, acks []chan ack) {
+	defer close(r.done)
+	defer close(r.snapshots)
+	defer fail(nil)
 
-	shards := make([]report, cfg.Workers)
-	for n := 0; n < cfg.Workers; n++ {
-		//consumelocal:ignore ctxsend every worker sends its final report exactly once on a buffered channel after the final mark, so this receive cannot stall
-		rep := <-reports
-		shards[rep.worker] = rep
-		if rep.err != nil {
-			ferr = rep.err
+	var (
+		cum    sim.Tally
+		deltas = make([]sim.Tally, len(acks))
+		shards = make([]report, len(acks))
+	)
+	for {
+		var h window
+		select {
+		case h = <-pending:
+		case <-ctx.Done():
+			r.err = context.Cause(ctx)
+			return
+		}
+		var active, swarms int
+		for i, ch := range acks {
+			var a ack
+			select {
+			case a = <-ch:
+			case <-ctx.Done():
+				r.err = context.Cause(ctx)
+				return
+			}
+			if a.err != nil {
+				fail(a.err)
+				r.err = context.Cause(ctx)
+				return
+			}
+			deltas[i] = a.delta
+			active += a.active
+			swarms += a.swarms
+			if a.report != nil {
+				shards[i] = *a.report
+			}
+		}
+		var delta sim.Tally
+		for _, d := range deltas {
+			delta.Add(d)
+		}
+		cum.Add(delta)
+		snap := Snapshot{
+			Index:         h.index,
+			FromSec:       h.from,
+			ToSec:         h.to,
+			SessionsSeen:  h.sessionsSeen,
+			ActiveMembers: active,
+			Swarms:        swarms,
+			Delta:         delta,
+			Cumulative:    cum,
+			Final:         h.final,
+		}
+		select {
+		case r.snapshots <- snap:
+		case <-ctx.Done():
+			// The consumer has walked away and cancelled: stop emitting.
+			r.err = context.Cause(ctx)
+			return
+		}
+		if h.final {
+			r.result = mergeShards(shards, cfg, r.meta)
+			return
 		}
 	}
-	if ferr != nil {
-		r.err = ferr
-		return
-	}
-	r.result = mergeShards(shards, cfg, r.meta)
 }
 
 // mergeShards assembles the final result: per-swarm statistics sorted by

@@ -21,12 +21,15 @@ import (
 // topology endpoint, upload rate, demand rate (zero for seeders) — are
 // computed once at admission instead of once per activity interval, so
 // interval settlement multiplies cached rates by the interval length and
-// nothing else.
+// nothing else. ledger caches the member's user ledger, resolved on
+// the member's first booked interval, so later intervals skip the map
+// lookup.
 type member struct {
 	s         trace.Session
 	peer      matching.Peer
 	upBps     float64
 	demandBps float64
+	ledger    *sim.UserStats
 }
 
 // swarmState is one swarm's incremental state on its owning worker. It
@@ -68,6 +71,16 @@ func (st *swarmState) Closed(index int) {
 // (sim.SessionSource).
 func (st *swarmState) SessionAt(index int) trace.Session { return st.members[index].s }
 
+// LedgerAt resolves a tracker member index to its user's ledger,
+// caching the pointer on the member (sim.SessionSource).
+func (st *swarmState) LedgerAt(index int, users map[uint32]*sim.UserStats) *sim.UserStats {
+	m := &st.members[index]
+	if m.ledger == nil {
+		m.ledger = sim.Ledger(users, m.s.UserID)
+	}
+	return m.ledger
+}
+
 // alloc places a member into a recycled or fresh slot and returns its
 // tracker index.
 func (st *swarmState) alloc(m member) int {
@@ -85,7 +98,6 @@ func (st *swarmState) alloc(m member) int {
 // messages strictly in order, so per-swarm settlement is a deterministic
 // replay of the batch simulator's sweep.
 type worker struct {
-	id      int
 	cfg     sim.Config
 	horizon int64
 	// states indexes swarms by key; ordered preserves first-arrival
@@ -113,9 +125,8 @@ type worker struct {
 	alloc matching.Allocation
 }
 
-func newWorker(id int, cfg Config, meta trace.Meta) *worker {
+func newWorker(cfg Config, meta trace.Meta) *worker {
 	w := &worker{
-		id:      id,
 		cfg:     cfg.Sim,
 		horizon: meta.HorizonSec,
 		states:  make(map[swarm.Key]*swarmState),
@@ -131,7 +142,7 @@ func newWorker(id int, cfg Config, meta trace.Meta) *worker {
 	return w
 }
 
-func (w *worker) run(in <-chan wmsg, acks chan<- ack, reports chan<- report) {
+func (w *worker) run(in <-chan wmsg, acks chan<- ack) {
 	for msg := range in {
 		if !msg.mark {
 			for i := range msg.batch {
@@ -147,11 +158,12 @@ func (w *worker) run(in <-chan wmsg, acks chan<- ack, reports chan<- report) {
 		} else {
 			w.mark(msg.until, msg.final)
 		}
-		acks <- ack{worker: w.id, delta: w.delta, active: w.active, swarms: len(w.ordered), err: w.err}
-		w.delta = sim.Tally{}
+		a := ack{delta: w.delta, active: w.active, swarms: len(w.ordered), err: w.err}
 		if msg.final {
-			reports <- w.report()
+			a.report = w.report()
 		}
+		acks <- a
+		w.delta = sim.Tally{}
 	}
 }
 
@@ -270,8 +282,8 @@ func (w *worker) settle(st *swarmState, iv swarm.Interval) {
 }
 
 // report packages the worker's shard outcome, with per-swarm statistics
-// in first-arrival order; the coordinator re-sorts the union by key.
-func (w *worker) report() report {
+// in first-arrival order; the collector re-sorts the union by key.
+func (w *worker) report() *report {
 	stats := make([]sim.SwarmStats, 0, len(w.ordered))
 	for _, st := range w.ordered {
 		capacity := 0.0
@@ -285,7 +297,7 @@ func (w *worker) report() report {
 			Tally:    st.tally,
 		})
 	}
-	return report{worker: w.id, stats: stats, days: w.booker.Days, users: w.booker.Users, err: w.err}
+	return &report{stats: stats, days: w.booker.Days, users: w.booker.Users}
 }
 
 // resize grows the scratch buffers to hold n entries.

@@ -23,9 +23,9 @@ func (LocalityFirst) Name() string { return "locality-first" }
 // subgroups runs of equal (k1, k2): groups come out in ascending key
 // order with members in ascending index order, which fixes the
 // floating-point operation sequence and therefore the simulator's
-// bit-for-bit results. Each order is built by sorting pooled packed
-// keys (packKey) with slices.Sort, not by comparing pairs, and then
-// expanded into the pairs the matching passes read.
+// bit-for-bit results. The orders come from two sorts of pooled packed
+// keys (packKey) and one counting sort, not from comparing pairs, and
+// are then expanded into the pairs the matching passes read.
 type groupPair struct {
 	k1, k2 int64
 	idx    int32
@@ -39,6 +39,8 @@ type lfScratch struct {
 	pairs          []groupPair
 	keys           []uint64 // packed sort keys of the current pass
 	order          []int32  // peer indices in exchange-pass order
+	rank           []int32  // dense PoP rank per peer
+	offsets        []int32  // counting-sort slot per PoP rank
 	starts         []int32  // subgroup boundaries of the current cross pass
 	demand         []float64
 	capacity       []float64
@@ -140,41 +142,62 @@ func (LocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands, caps []
 		s = e
 	}
 
-	// Pass 2: across exchanges within each PoP, in (PoP, exchange,
-	// index) order, so PoPs are runs and their exchange subgroups
-	// sub-runs. Re-sorting the pass-1 order by PoP, ties broken by
-	// position in that order, is a stable sort that yields it.
-	for j, i := range order {
-		keys[j] = packKey(peers[i].PoP, j)
-	}
-	slices.Sort(keys)
-	for j, k := range keys {
-		i := order[keyPos(k)]
-		p := peers[i]
-		pairs[j] = groupPair{k1: int64(p.PoP), k2: int64(p.Exchange), idx: i}
-	}
-	for s := 0; s < n; {
-		e := s + 1
-		for e < n && pairs[e].k1 == pairs[s].k1 {
-			e++
-		}
-		flows := crossMatch(sc, pairs[s:e], residD, residC)
-		record(alloc, energy.LayerPoP, flows, pairs[s:e], residD, residC, demands, caps)
-		s = e
-	}
-
-	// Pass 3: across PoPs through the core, in (PoP, index) order.
+	// Pass 3's (PoP, index) order, sorted now because it also ranks the
+	// PoPs densely: rank[i] is the position of peer i's PoP among the
+	// distinct PoPs, and offsets[r] counts rank r's peers.
+	rank := grown(&sc.rank, n)
+	offsets := sc.offsets[:0]
 	for i, p := range peers {
 		keys[i] = packKey(p.PoP, i)
 	}
 	slices.Sort(keys)
 	for j, k := range keys {
-		i := keyPos(k)
-		pop := int64(peers[i].PoP)
-		pairs[j] = groupPair{k1: pop, k2: pop, idx: i}
+		if j == 0 || k>>32 != keys[j-1]>>32 {
+			offsets = append(offsets, 0)
+		}
+		r := len(offsets) - 1
+		rank[keyPos(k)] = int32(r)
+		offsets[r]++
 	}
-	flows := crossMatch(sc, pairs, residD, residC)
-	record(alloc, energy.LayerCore, flows, pairs, residD, residC, demands, caps)
+	sc.offsets = offsets
+
+	// Pass 2: across exchanges within each PoP, in (PoP, exchange,
+	// index) order, so PoPs are runs and their exchange subgroups
+	// sub-runs. A counting sort of the pass-1 order by PoP rank is
+	// stable, so it yields that order in O(n). offsets become each
+	// rank's next free slot, and then each rank's end.
+	var next int32
+	for r, c := range offsets {
+		offsets[r] = next
+		next += c
+	}
+	for _, i := range order {
+		p := peers[i]
+		slot := &offsets[rank[i]]
+		pairs[*slot] = groupPair{k1: int64(p.PoP), k2: int64(p.Exchange), idx: i}
+		*slot++
+	}
+	var s int32
+	for _, e := range offsets {
+		// A PoP with one peer has no other exchange to match across.
+		if e-s >= 2 {
+			flows := crossMatch(sc, pairs[s:e], residD, residC)
+			record(alloc, energy.LayerPoP, flows, pairs[s:e], residD, residC, demands, caps)
+		}
+		s = e
+	}
+
+	// Pass 3: across PoPs through the core, in (PoP, index) order. It
+	// needs at least two PoPs.
+	if len(offsets) >= 2 {
+		for j, k := range keys {
+			i := keyPos(k)
+			pop := int64(peers[i].PoP)
+			pairs[j] = groupPair{k1: pop, k2: pop, idx: i}
+		}
+		flows := crossMatch(sc, pairs, residD, residC)
+		record(alloc, energy.LayerCore, flows, pairs, residD, residC, demands, caps)
+	}
 
 	applyBudget(alloc, budget)
 	return nil
@@ -244,12 +267,29 @@ func crossMatch(sc *lfScratch, members []groupPair, residDemand, residCap []floa
 	var total float64
 	const eps = 1e-9
 	for {
-		gd := argmax(demand)
-		if gd < 0 || demand[gd] <= eps {
+		// One scan finds the largest demand gd and the two largest
+		// capacities c1, c2, each the first index to reach its value;
+		// the largest capacity outside gd is then c1, or c2 if c1 is
+		// gd. k >= 2, so c2 is always set.
+		gd, c1, c2 := 0, 0, -1
+		for g := 1; g < k; g++ {
+			if demand[g] > demand[gd] {
+				gd = g
+			}
+			if capacity[g] > capacity[c1] {
+				c2, c1 = c1, g
+			} else if c2 < 0 || capacity[g] > capacity[c2] {
+				c2 = g
+			}
+		}
+		if demand[gd] <= eps {
 			break
 		}
-		gu := argmaxExcept(capacity, gd)
-		if gu < 0 || capacity[gu] <= eps {
+		gu := c1
+		if gu == gd {
+			gu = c2
+		}
+		if capacity[gu] <= eps {
 			break
 		}
 		x := demand[gd]
@@ -327,30 +367,4 @@ func record(alloc *Allocation, layer energy.Layer, flow float64, members []group
 			alloc.PeerReceivedBits[i] = downSoFar
 		}
 	}
-}
-
-// argmax returns the index of the largest entry, or -1 for empty input.
-func argmax(xs []float64) int {
-	best := -1
-	for i, x := range xs {
-		if best < 0 || x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// argmaxExcept returns the index of the largest entry other than skip, or
-// -1 when no other entry exists.
-func argmaxExcept(xs []float64, skip int) int {
-	best := -1
-	for i, x := range xs {
-		if i == skip {
-			continue
-		}
-		if best < 0 || x > xs[best] {
-			best = i
-		}
-	}
-	return best
 }

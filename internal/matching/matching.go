@@ -96,6 +96,14 @@ var errMismatchedInputs = errors.New("matching: peers, demands and caps must hav
 // fit in an int32, the range packKey orders correctly.
 var errEndpointRange = errors.New("matching: peer exchange and PoP must fit in an int32")
 
+// errNonFinite is returned for a NaN or infinite demand or capacity,
+// which the greedy matching passes cannot drain.
+var errNonFinite = errors.New("matching: demands and capacities must be finite")
+
+// inRange reports whether x is a finite, non-negative amount; NaN fails
+// both comparisons.
+func inRange(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
+
 // validate checks the common preconditions and returns the total demand.
 func validate(peers []Peer, demands, caps []float64) (totalDemand float64, err error) {
 	if len(peers) != len(demands) || len(peers) != len(caps) {
@@ -106,8 +114,11 @@ func validate(peers []Peer, demands, caps []float64) (totalDemand float64, err e
 			p.PoP < math.MinInt32 || p.PoP > math.MaxInt32 {
 			return 0, errEndpointRange
 		}
-		if demands[i] < 0 || caps[i] < 0 {
-			return 0, errors.New("matching: demands and capacities must be non-negative")
+		if !inRange(demands[i]) || !inRange(caps[i]) {
+			if demands[i] < 0 || caps[i] < 0 {
+				return 0, errors.New("matching: demands and capacities must be non-negative")
+			}
+			return 0, errNonFinite
 		}
 		totalDemand += demands[i]
 	}

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"consumelocal/internal/energy"
 )
@@ -449,6 +450,50 @@ func TestValidateEndpointRange(t *testing.T) {
 				}
 				if !tc.ok && !errors.Is(err, errEndpointRange) {
 					t.Errorf("%s: error %v, want %v", p.Name(), err, errEndpointRange)
+				}
+			}
+		})
+	}
+}
+
+// TestMatchIntoRejectsNonFinite pins validate's finiteness check. A NaN
+// or +Inf demand or capacity passes a plain "< 0" test, and
+// LocalityFirst's greedy cross-PoP pass then never drains it: the call
+// spun forever. Each case runs under a deadline, so a regression fails
+// instead of hanging the suite.
+func TestMatchIntoRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name          string
+		demands, caps []float64
+		want          error // nil: any error will do
+	}{
+		{"demand NaN", []float64{nan, 1, 1}, []float64{1, 1, 1}, errNonFinite},
+		{"demand +Inf", []float64{inf, 1, 1}, []float64{1, 1, 1}, errNonFinite},
+		{"demand -Inf", []float64{-inf, 1, 1}, []float64{1, 1, 1}, nil},
+		{"capacity NaN", []float64{1, 1, 1}, []float64{1, nan, 1}, errNonFinite},
+		{"capacity +Inf", []float64{1, 1, 1}, []float64{1, inf, 1}, errNonFinite},
+		{"capacity -Inf", []float64{1, 1, 1}, []float64{1, -inf, 1}, nil},
+	}
+	// One peer per PoP, so every pass up to the cross-PoP one has work.
+	peers := []Peer{{User: 0, Exchange: 0, PoP: 0}, {User: 1, Exchange: 1, PoP: 1}, {User: 2, Exchange: 2, PoP: 2}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, p := range policies() {
+				done := make(chan error, 1)
+				go func() {
+					var a Allocation
+					done <- p.MatchInto(&a, peers, tc.demands, tc.caps, -1)
+				}()
+				select {
+				case err := <-done:
+					if err == nil {
+						t.Errorf("%s: accepted %v / %v", p.Name(), tc.demands, tc.caps)
+					} else if tc.want != nil && !errors.Is(err, tc.want) {
+						t.Errorf("%s: error %v, want %v", p.Name(), err, tc.want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s: MatchInto did not return within 5s", p.Name())
 				}
 			}
 		})

@@ -11,9 +11,11 @@ import (
 )
 
 // referenceLocalityFirst is LocalityFirst as it was before grouping moved
-// to packed uint64 keys: each grouping pass sorts (k1, k2, index) triples
-// with a three-field comparator. It is kept, test-only, as the oracle the
-// packed-key implementation must match bit for bit.
+// to packed uint64 keys and a counting sort: each grouping pass sorts
+// (k1, k2, index) triples with a three-field comparator, and each
+// greedy step of the cross passes scans the groups twice
+// (refCrossMatch). It is kept, test-only, as the oracle the production
+// implementation must match bit for bit.
 type referenceLocalityFirst struct{}
 
 func refCmpGroupPair(a, b groupPair) int {
@@ -87,7 +89,7 @@ func (referenceLocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands
 		for e < n && pairs[e].k1 == pairs[s].k1 {
 			e++
 		}
-		flows := crossMatch(sc, pairs[s:e], residD, residC)
+		flows := refCrossMatch(sc, pairs[s:e], residD, residC)
 		record(alloc, energy.LayerPoP, flows, pairs[s:e], residD, residC, demands, caps)
 		s = e
 	}
@@ -97,11 +99,116 @@ func (referenceLocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands
 		pairs[i] = groupPair{k1: int64(p.PoP), k2: int64(p.PoP), idx: int32(i)}
 	}
 	slices.SortFunc(pairs, refCmpGroupPair)
-	flows := crossMatch(sc, pairs, residD, residC)
+	flows := refCrossMatch(sc, pairs, residD, residC)
 	record(alloc, energy.LayerCore, flows, pairs, residD, residC, demands, caps)
 
 	applyBudget(alloc, budget)
 	return nil
+}
+
+// refCrossMatch is crossMatch as it was before the one-scan greedy: each
+// step takes the largest demand with refArgmax and the largest capacity
+// outside it with refArgmaxExcept.
+func refCrossMatch(sc *lfScratch, members []groupPair, residDemand, residCap []float64) float64 {
+	starts := sc.starts[:0]
+	for i := range members {
+		if i == 0 || members[i].k2 != members[i-1].k2 {
+			starts = append(starts, int32(i))
+		}
+	}
+	sc.starts = starts
+	k := len(starts)
+	if k < 2 {
+		return 0
+	}
+	end := func(g int) int {
+		if g+1 < k {
+			return int(starts[g+1])
+		}
+		return len(members)
+	}
+
+	demand := floats(&sc.demand, k)
+	capacity := floats(&sc.capacity, k)
+	for g := 0; g < k; g++ {
+		for _, m := range members[starts[g]:end(g)] {
+			demand[g] += residDemand[m.idx]
+			capacity[g] += residCap[m.idx]
+		}
+	}
+
+	served := floats(&sc.served, k)
+	used := floats(&sc.used, k)
+	var total float64
+	const eps = 1e-9
+	for {
+		gd := refArgmax(demand)
+		if gd < 0 || demand[gd] <= eps {
+			break
+		}
+		gu := refArgmaxExcept(capacity, gd)
+		if gu < 0 || capacity[gu] <= eps {
+			break
+		}
+		x := demand[gd]
+		if capacity[gu] < x {
+			x = capacity[gu]
+		}
+		demand[gd] -= x
+		capacity[gu] -= x
+		served[gd] += x
+		used[gu] += x
+		total += x
+	}
+	if total <= 0 {
+		return 0
+	}
+
+	for g := 0; g < k; g++ {
+		group := members[starts[g]:end(g)]
+		if served[g] > 0 {
+			var sumD float64
+			for _, m := range group {
+				sumD += residDemand[m.idx]
+			}
+			drainProportional(group, residDemand, sumD, served[g])
+		}
+		if used[g] > 0 {
+			var sumU float64
+			for _, m := range group {
+				sumU += residCap[m.idx]
+			}
+			drainProportional(group, residCap, sumU, used[g])
+		}
+	}
+	return total
+}
+
+// refArgmax returns the index of the largest entry, or -1 for empty
+// input.
+func refArgmax(xs []float64) int {
+	best := -1
+	for i, x := range xs {
+		if best < 0 || x > xs[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// refArgmaxExcept returns the index of the largest entry other than
+// skip, or -1 when no other entry exists.
+func refArgmaxExcept(xs []float64, skip int) int {
+	best := -1
+	for i, x := range xs {
+		if i == skip {
+			continue
+		}
+		if best < 0 || x > xs[best] {
+			best = i
+		}
+	}
+	return best
 }
 
 // diffCase draws one matching interval for the differential test. The
@@ -215,12 +322,17 @@ func TestMatchIntoMatchesReference(t *testing.T) {
 // (exchange, PoP, demand, capacity); scale stretches the IDs, up to and
 // past the int32 range validate enforces; budgetFrac < 0 means
 // unbounded, otherwise the budget is that fraction of total capacity.
+// poison, when its low three bits are 1–4, overwrites one peer's demand
+// or capacity (peer poison>>3 mod n) with NaN or +Inf, which both must
+// refuse.
 func FuzzMatchIntoReference(f *testing.F) {
-	f.Add([]byte{0, 0, 10, 0, 0, 0, 0, 15, 9, 0, 10, 0, 9, 0, 0, 5}, int32(1), -1.0)
-	f.Add([]byte{1, 1, 200, 50, 2, 1, 30, 90, 255, 128, 7, 7, 3, 1, 0, 255, 1, 2, 100, 100}, int32(-3), 0.25)
-	f.Add([]byte{127, 127, 1, 2, 128, 128, 3, 4, 127, 128, 5, 6}, int32(math.MaxInt32/127), 2.0)
-	f.Add([]byte{5, 5, 5, 5}, int32(1), 0.0)
-	f.Fuzz(func(t *testing.T, data []byte, scale int32, budgetFrac float64) {
+	f.Add([]byte{0, 0, 10, 0, 0, 0, 0, 15, 9, 0, 10, 0, 9, 0, 0, 5}, int32(1), -1.0, uint8(0))
+	f.Add([]byte{1, 1, 200, 50, 2, 1, 30, 90, 255, 128, 7, 7, 3, 1, 0, 255, 1, 2, 100, 100}, int32(-3), 0.25, uint8(0))
+	f.Add([]byte{127, 127, 1, 2, 128, 128, 3, 4, 127, 128, 5, 6}, int32(math.MaxInt32/127), 2.0, uint8(0))
+	f.Add([]byte{5, 5, 5, 5}, int32(1), 0.0, uint8(0))
+	f.Add([]byte{0, 0, 10, 10, 1, 1, 10, 10, 2, 2, 10, 10}, int32(1), -1.0, uint8(1))
+	f.Add([]byte{0, 0, 10, 10, 1, 1, 10, 10, 2, 2, 10, 10}, int32(1), -1.0, uint8(8<<3|4))
+	f.Fuzz(func(t *testing.T, data []byte, scale int32, budgetFrac float64, poison uint8) {
 		n := len(data) / 4
 		if n > 512 {
 			n = 512
@@ -244,7 +356,26 @@ func FuzzMatchIntoReference(f *testing.F) {
 		if budgetFrac >= 0 && !math.IsInf(budgetFrac, 0) {
 			budget = budgetFrac * sumCaps
 		}
+		kind := poison & 7
+		poisoned := n > 0 && kind >= 1 && kind <= 4
+		if poisoned {
+			i := int(poison>>3) % n
+			bad := math.NaN()
+			if kind%2 == 0 {
+				bad = math.Inf(1)
+			}
+			if kind <= 2 {
+				demands[i] = bad
+			} else {
+				caps[i] = bad
+			}
+		}
 		var reused Allocation
+		if poisoned {
+			if err := (LocalityFirst{}).MatchInto(&reused, peers, demands, caps, budget); err == nil {
+				t.Fatalf("accepted non-finite input: demands %v, caps %v", demands, caps)
+			}
+		}
 		checkAgainstReference(t, "fuzz", &reused, peers, demands, caps, budget)
 	})
 }

@@ -19,33 +19,46 @@ type Booker struct {
 	Users map[uint32]*UserStats
 }
 
-// SessionSource resolves a swept member index to its session. Both
-// execution modes implement it without closures: the batch simulator
-// over the swarm's session slice, the streaming engine over a worker's
-// live member table.
+// SessionSource resolves a swept member index to its session and to its
+// user's byte ledger. Both execution modes implement it without
+// closures: the batch simulator over the swarm's session slice, the
+// streaming engine over a worker's live member table.
 type SessionSource interface {
 	SessionAt(idx int) trace.Session
+	// LedgerAt returns the ledger in users of member idx's user,
+	// creating it on first use (see Ledger). Booking calls it only
+	// while user tracking is on, so an implementation may resolve the
+	// pointer lazily and cache it per member.
+	LedgerAt(idx int, users map[uint32]*UserStats) *UserStats
 }
 
-// SessionSlice adapts a plain session list into a SessionSource: member
-// index i is sessions[i], the batch sweep's indexing. Convert through a
-// pointer (or reuse one SliceSource) on hot paths: boxing the slice
-// header itself into the interface heap-allocates per conversion.
-type SessionSlice []trace.Session
+// Ledger returns id's ledger in users, creating an empty one on first
+// use.
+func Ledger(users map[uint32]*UserStats, id uint32) *UserStats {
+	u := users[id]
+	if u == nil {
+		u = &UserStats{}
+		users[id] = u
+	}
+	return u
+}
 
-// SessionAt returns the idx-th session.
-func (s SessionSlice) SessionAt(idx int) trace.Session { return s[idx] }
-
-// SliceSource is a re-pointable SessionSource over a session list. The
-// batch engine holds one and repoints it at each swarm's sessions, so
-// booking an interval converts a pointer into the interface — one word,
-// no per-interval boxing allocation.
+// SliceSource is a re-pointable SessionSource over a session list:
+// member index i is Sessions[i], the batch sweep's indexing. The batch
+// engine holds one and repoints it at each swarm's sessions, so booking
+// an interval converts a pointer into the interface — one word, no
+// per-interval boxing allocation.
 type SliceSource struct {
 	Sessions []trace.Session
 }
 
 // SessionAt returns the idx-th session.
 func (s *SliceSource) SessionAt(idx int) trace.Session { return s.Sessions[idx] }
+
+// LedgerAt looks up the idx-th session's user ledger.
+func (s *SliceSource) LedgerAt(idx int, users map[uint32]*UserStats) *UserStats {
+	return Ledger(users, s.Sessions[idx].UserID)
+}
 
 // BookInterval books one matched activity interval: it builds the
 // interval tally from the allocation, attributes each downloader's share
@@ -86,11 +99,7 @@ func (b *Booker) BookInterval(iv swarm.Interval, alloc *matching.Allocation, dem
 		b.bookDays(iv, int(s.ISP), perUser)
 
 		if b.Users != nil {
-			u := b.Users[s.UserID]
-			if u == nil {
-				u = &UserStats{}
-				b.Users[s.UserID] = u
-			}
+			u := sessions.LedgerAt(idx, b.Users)
 			u.DownloadedBits += demand
 			u.FromPeersBits += received
 			u.UploadedBits += alloc.UploadedBits[slot]
