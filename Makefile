@@ -76,10 +76,11 @@ chaos-smoke:
 	./chaos-smoke.sh
 
 ## microbench: the hot-path micro-benchmarks (tracker settlement, batch
-## sweeper, matching, CSV fast lane, shard batch feed) at full bench time
+## sweeper, matching, interval booking, CSV fast lane, shard batch
+## feed) at full bench time
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkTrackerAdvance|BenchmarkSweeper|BenchmarkScannerScan|BenchmarkShardBatchFeed|BenchmarkMatchInto' \
-		./internal/swarm/ ./internal/trace/ ./internal/engine/ ./internal/matching/
+	$(GO) test -run '^$$' -bench 'BenchmarkTrackerAdvance|BenchmarkSweeper|BenchmarkScannerScan|BenchmarkShardBatchFeed|BenchmarkMatchInto|BenchmarkBookInterval' \
+		./internal/swarm/ ./internal/trace/ ./internal/engine/ ./internal/matching/ ./internal/sim/
 
 ## metrics-smoke: boot a real consumelocald, run a generator job via
 ## the HTTP API, scrape /metrics and require the documented series,

@@ -34,10 +34,13 @@ go test -race . ./internal/engine/... ./cmd/consumelocald/... \
 # diverged under racing producers on only a few percent of runs, so the
 # durable racing-producer and fault-injection tests run 30 times each.
 go test -race -count=30 -run '^(TestIngestRacingProducers|TestIngestFaultInjection)$/^durable$' ./cmd/consumelocald
-# Differential fuzz: LocalityFirst's packed-key grouping against the
-# comparator-sort reference it replaced must agree bit for bit; bounded
-# to 10 s so the gate stays quick.
+# Differential fuzz: LocalityFirst's grouping order (stableOrder plus
+# the counting sort by PoP rank) against the comparator-sort reference
+# it replaced must agree bit for bit, and stableOrder alone must match
+# a stable comparator sort; bounded to 10 s and 5 s so the gate stays
+# quick.
 go test -run '^$' -fuzz FuzzMatchIntoReference -fuzztime 10s ./internal/matching
+go test -run '^$' -fuzz FuzzStableOrder -fuzztime 5s ./internal/matching
 # Metrics lint: every /metrics scrape must parse under the exposition
 # linter (HELP/TYPE metadata, histogram suffixes, no duplicate series)
 # and expose the documented families — see docs/OBSERVABILITY.md.

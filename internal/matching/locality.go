@@ -1,7 +1,7 @@
 package matching
 
 import (
-	"slices"
+	"math"
 	"sync"
 
 	"consumelocal/internal/energy"
@@ -23,9 +23,9 @@ func (LocalityFirst) Name() string { return "locality-first" }
 // subgroups runs of equal (k1, k2): groups come out in ascending key
 // order with members in ascending index order, which fixes the
 // floating-point operation sequence and therefore the simulator's
-// bit-for-bit results. The orders come from two sorts of pooled packed
-// keys (packKey) and one counting sort, not from comparing pairs, and
-// are then expanded into the pairs the matching passes read.
+// bit-for-bit results. The orders come from stableOrder and one
+// counting sort by PoP rank, not from comparing pairs, and are then
+// expanded into the pairs the matching passes read.
 type groupPair struct {
 	k1, k2 int64
 	idx    int32
@@ -37,11 +37,13 @@ type groupPair struct {
 type lfScratch struct {
 	residD, residC []float64
 	pairs          []groupPair
-	keys           []uint64 // packed sort keys of the current pass
-	order          []int32  // peer indices in exchange-pass order
-	rank           []int32  // dense PoP rank per peer
-	offsets        []int32  // counting-sort slot per PoP rank
-	starts         []int32  // subgroup boundaries of the current cross pass
+	ord            orderScratch
+	keys           []int32 // grouping key per peer of the current order
+	order          []int32 // peer indices in exchange-pass order
+	popOrder       []int32 // peer indices in (PoP, index) order
+	rank           []int32 // dense PoP rank per peer
+	offsets        []int32 // counting-sort slot per PoP rank
+	starts         []int32 // subgroup boundaries of the current cross pass
 	demand         []float64
 	capacity       []float64
 	served         []float64
@@ -99,6 +101,9 @@ func (LocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands, caps []
 	if err != nil {
 		return err
 	}
+	if math.IsNaN(budget) {
+		return errNonFinite
+	}
 	n := len(peers)
 	alloc.reset(n, totalDemand)
 	if n < 2 || budget == 0 {
@@ -122,13 +127,11 @@ func (LocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands, caps []
 	// Pass 1: within exchange points, grouped in (exchange, index)
 	// order.
 	for i, p := range peers {
-		keys[i] = packKey(p.Exchange, i)
+		keys[i] = int32(p.Exchange)
 	}
-	slices.Sort(keys)
-	for j, k := range keys {
-		i := keyPos(k)
-		order[j] = i
-		pairs[j] = groupPair{k1: int64(peers[i].Exchange), idx: i}
+	sc.ord.stableOrder(order, keys)
+	for j, i := range order {
+		pairs[j] = groupPair{k1: int64(keys[i]), idx: i}
 	}
 	for s := 0; s < n; {
 		e := s + 1
@@ -142,21 +145,23 @@ func (LocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands, caps []
 		s = e
 	}
 
-	// Pass 3's (PoP, index) order, sorted now because it also ranks the
-	// PoPs densely: rank[i] is the position of peer i's PoP among the
-	// distinct PoPs, and offsets[r] counts rank r's peers.
+	// Pass 3's (PoP, index) order, built now because walking it also
+	// ranks the PoPs densely: rank[i] is the position of peer i's PoP
+	// among the distinct PoPs, and offsets[r] counts rank r's peers.
+	// keys hold the PoPs from here on.
+	popOrder := grown(&sc.popOrder, n)
 	rank := grown(&sc.rank, n)
 	offsets := sc.offsets[:0]
 	for i, p := range peers {
-		keys[i] = packKey(p.PoP, i)
+		keys[i] = int32(p.PoP)
 	}
-	slices.Sort(keys)
-	for j, k := range keys {
-		if j == 0 || k>>32 != keys[j-1]>>32 {
+	sc.ord.stableOrder(popOrder, keys)
+	for j, i := range popOrder {
+		if j == 0 || keys[i] != keys[popOrder[j-1]] {
 			offsets = append(offsets, 0)
 		}
 		r := len(offsets) - 1
-		rank[keyPos(k)] = int32(r)
+		rank[i] = int32(r)
 		offsets[r]++
 	}
 	sc.offsets = offsets
@@ -190,9 +195,8 @@ func (LocalityFirst) MatchInto(alloc *Allocation, peers []Peer, demands, caps []
 	// Pass 3: across PoPs through the core, in (PoP, index) order. It
 	// needs at least two PoPs.
 	if len(offsets) >= 2 {
-		for j, k := range keys {
-			i := keyPos(k)
-			pop := int64(peers[i].PoP)
+		for j, i := range popOrder {
+			pop := int64(keys[i])
 			pairs[j] = groupPair{k1: pop, k2: pop, idx: i}
 		}
 		flows := crossMatch(sc, pairs, residD, residC)

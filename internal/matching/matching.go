@@ -70,7 +70,9 @@ func (a Allocation) PeerBits() float64 {
 // peers, demands and caps are parallel: demands[i] is the number of bits
 // peer i must download during the interval, caps[i] the bits it can
 // upload. budget caps the total peer-to-peer traffic (the paper's
-// (L−1)·q·Δτ bound); a negative budget means unbounded.
+// (L−1)·q·Δτ bound); a negative budget, −Inf included, and +Inf mean
+// unbounded, and zero disables sharing. A NaN budget is refused with an
+// error, as are NaN or infinite demands and capacities.
 type Policy interface {
 	// Match computes an allocation. Implementations must conserve
 	// traffic: sum(PeerReceivedBits) + ServerBits == sum(demands), and
@@ -93,18 +95,23 @@ type Policy interface {
 var errMismatchedInputs = errors.New("matching: peers, demands and caps must have equal length")
 
 // errEndpointRange is returned when a peer's exchange or PoP does not
-// fit in an int32, the range packKey orders correctly.
+// fit in an int32: the grouping passes order peers by their int32 keys
+// (stableOrder), and a wider ID would be truncated into the wrong group.
 var errEndpointRange = errors.New("matching: peer exchange and PoP must fit in an int32")
 
 // errNonFinite is returned for a NaN or infinite demand or capacity,
-// which the greedy matching passes cannot drain.
-var errNonFinite = errors.New("matching: demands and capacities must be finite")
+// which the greedy matching passes cannot drain, and for a NaN budget,
+// which compares false with everything and so would silently disable
+// sharing.
+var errNonFinite = errors.New("matching: demands and capacities must be finite, and the budget not NaN")
 
 // inRange reports whether x is a finite, non-negative amount; NaN fails
 // both comparisons.
 func inRange(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // validate checks the common preconditions and returns the total demand.
+// Among them, every exchange and PoP must fit in an int32: the grouping
+// passes order peers by those IDs as int32 keys.
 func validate(peers []Peer, demands, caps []float64) (totalDemand float64, err error) {
 	if len(peers) != len(demands) || len(peers) != len(caps) {
 		return 0, errMismatchedInputs
@@ -124,19 +131,6 @@ func validate(peers []Peer, demands, caps []float64) (totalDemand float64, err e
 	}
 	return totalDemand, nil
 }
-
-// packKey packs a grouping key and a position into one uint64 whose
-// unsigned order is (key, pos): the key, with its sign bit flipped so
-// that signed int32 order becomes unsigned order, fills the high 32
-// bits and the position the low 32. Sorting packed keys with
-// slices.Sort orders peers by key, ties broken by position, without a
-// comparator call. validate guarantees the key fits in an int32.
-func packKey(key, pos int) uint64 {
-	return uint64(uint32(int32(key))^1<<31)<<32 | uint64(uint32(pos))
-}
-
-// keyPos returns the position packed into a key by packKey.
-func keyPos(k uint64) int32 { return int32(uint32(k)) }
 
 // reset prepares a as the no-sharing allocation over n peers: zeroed
 // layer and per-peer vectors, the whole demand on the server. The

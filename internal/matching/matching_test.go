@@ -2,6 +2,7 @@ package matching
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -414,10 +415,11 @@ func TestPairLocalisation(t *testing.T) {
 	}
 }
 
-// TestValidateEndpointRange pins packKey's precondition: an exchange or
-// PoP outside the int32 range is refused, by both policies, instead of
-// being grouped in the wrong order; the int32 extremes themselves are
-// accepted.
+// TestValidateEndpointRange pins the grouping order's precondition:
+// peers are ordered by their exchange and PoP as int32 keys, so an ID
+// outside the int32 range is refused, by both policies, instead of
+// being truncated into the wrong group; the int32 extremes themselves
+// are accepted.
 func TestValidateEndpointRange(t *testing.T) {
 	if strconv.IntSize < 64 {
 		t.Skip("int is 32 bits wide: every endpoint fits in an int32")
@@ -460,7 +462,9 @@ func TestValidateEndpointRange(t *testing.T) {
 // or +Inf demand or capacity passes a plain "< 0" test, and
 // LocalityFirst's greedy cross-PoP pass then never drains it: the call
 // spun forever. Each case runs under a deadline, so a regression fails
-// instead of hanging the suite.
+// instead of hanging the suite. A NaN budget is refused too: it
+// compares false with everything, so both policies used to return all
+// demand on the server without an error. ±Inf budgets stay unbounded.
 func TestMatchIntoRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
@@ -497,5 +501,25 @@ func TestMatchIntoRejectsNonFinite(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	demands, caps := []float64{10, 10, 10}, []float64{10, 10, 10}
+	for _, p := range policies() {
+		var unbounded, a Allocation
+		if err := p.MatchInto(&unbounded, peers, demands, caps, -1); err != nil {
+			t.Fatal(err)
+		}
+		if unbounded.PeerBits() <= 0 {
+			t.Fatalf("%s: unbounded budget shared nothing", p.Name())
+		}
+		if err := p.MatchInto(&a, peers, demands, caps, nan); !errors.Is(err, errNonFinite) {
+			t.Errorf("%s: budget NaN: error %v, want %v", p.Name(), err, errNonFinite)
+		}
+		for _, budget := range []float64{inf, -inf} {
+			if err := p.MatchInto(&a, peers, demands, caps, budget); err != nil {
+				t.Fatalf("%s: budget %v: %v", p.Name(), budget, err)
+			}
+			allocationsEqual(t, fmt.Sprintf("%s budget %v", p.Name(), budget), &a, unbounded)
+		}
 	}
 }

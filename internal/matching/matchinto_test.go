@@ -40,13 +40,13 @@ type matchShape struct {
 
 // matchShapes are the interval sizes the engines actually match: the
 // replay-vod benchmark's mean (16 peers) and p99 (135 peers) and the
-// ingest-live benchmark's mean (238 peers) on the default 345-exchange,
-// 9-PoP round-robin tree, plus the original 128 peers over 12
-// exchanges.
+// ingest-live benchmark's mean (238 peers) and p99 (866 peers) on the
+// default 345-exchange, 9-PoP round-robin tree, plus the original 128
+// peers over 12 exchanges.
 func matchShapes() []matchShape {
 	tree := topology.DefaultLondon()
 	shapes := []matchShape{{"peers=128,exchanges=12", 128, 12, smallPoP}}
-	for _, n := range []int{16, 135, 238} {
+	for _, n := range []int{16, 135, 238, 866} {
 		shapes = append(shapes, matchShape{fmt.Sprintf("peers=%d", n), n, tree.Exchanges(), tree.PoPOf})
 	}
 	return shapes

@@ -1,7 +1,7 @@
 package matching
 
 import (
-	"slices"
+	"math"
 	"sync"
 
 	"consumelocal/internal/energy"
@@ -23,10 +23,12 @@ var _ Policy = Random{}
 // Name implements Policy.
 func (Random) Name() string { return "random" }
 
-// rndScratch is the reusable per-MatchInto working state: one sortable
-// packed-key slice for the pair-localisation counting passes.
+// rndScratch is the reusable per-MatchInto working state of the
+// pair-localisation counting passes.
 type rndScratch struct {
-	keys []uint64
+	ord   orderScratch
+	keys  []int32 // grouping key per peer
+	order []int32 // peer indices in key order
 }
 
 var rndPool = sync.Pool{New: func() any { return new(rndScratch) }}
@@ -52,6 +54,9 @@ func (Random) MatchInto(alloc *Allocation, peers []Peer, demands, caps []float64
 	totalDemand, err := validate(peers, demands, caps)
 	if err != nil {
 		return err
+	}
+	if math.IsNaN(budget) {
+		return errNonFinite
 	}
 	n := len(peers)
 	alloc.reset(n, totalDemand)
@@ -95,10 +100,10 @@ func (Random) MatchInto(alloc *Allocation, peers []Peer, demands, caps []float64
 // pairLocalisation returns the probability that a uniformly random ordered
 // pair of distinct peers shares an exchange point, and the probability it
 // shares a PoP (which includes the same-exchange case). Co-location is
-// counted by sorting a pooled packed-key slice and summing k·(k−1) over
-// runs of equal key — the counts are exact integers, so the result is
-// identical to the former map-based counting regardless of summation
-// order, without the two per-interval map allocations.
+// counted by ordering the peers by key (stableOrder) and summing
+// k·(k−1) over runs of equal key — the counts are exact integers, so
+// the result is identical to the former map-based counting regardless
+// of summation order, without the two per-interval map allocations.
 func pairLocalisation(peers []Peer) (sameExchange, samePoP float64) {
 	n := len(peers)
 	if n < 2 {
@@ -107,27 +112,29 @@ func pairLocalisation(peers []Peer) (sameExchange, samePoP float64) {
 	sc := rndPool.Get().(*rndScratch)
 	defer rndPool.Put(sc)
 	keys := grown(&sc.keys, n)
+	order := grown(&sc.order, n)
 
 	pairsTotal := float64(n) * float64(n-1)
 	for i, p := range peers {
-		keys[i] = packKey(p.Exchange, 0)
+		keys[i] = int32(p.Exchange)
 	}
-	exPairs := coLocatedPairs(keys)
+	exPairs := sc.coLocatedPairs(order, keys)
 	for i, p := range peers {
-		keys[i] = packKey(p.PoP, 0)
+		keys[i] = int32(p.PoP)
 	}
-	popPairs := coLocatedPairs(keys)
+	popPairs := sc.coLocatedPairs(order, keys)
 	return exPairs / pairsTotal, popPairs / pairsTotal
 }
 
-// coLocatedPairs sorts the keys and returns Σ k·(k−1) over runs of equal
-// key: the number of ordered pairs of distinct peers sharing a key.
-func coLocatedPairs(keys []uint64) float64 {
-	slices.Sort(keys)
+// coLocatedPairs orders the peers by key into order and returns
+// Σ k·(k−1) over runs of equal key: the number of ordered pairs of
+// distinct peers sharing a key.
+func (sc *rndScratch) coLocatedPairs(order, keys []int32) float64 {
+	sc.ord.stableOrder(order, keys)
 	var total float64
-	for s := 0; s < len(keys); {
+	for s := 0; s < len(order); {
 		e := s + 1
-		for e < len(keys) && keys[e] == keys[s] {
+		for e < len(order) && keys[order[e]] == keys[order[s]] {
 			e++
 		}
 		k := float64(e - s)

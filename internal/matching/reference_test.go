@@ -212,7 +212,7 @@ func refArgmaxExcept(xs []float64, skip int) int {
 }
 
 // diffCase draws one matching interval for the differential test. The
-// shapes cover what packed-key grouping must get right: the default
+// shapes cover what the grouping order must get right: the default
 // round-robin topology, heavy exchange ties, negative IDs, PoPs that
 // are not a function of the exchange, int32-extreme IDs and the
 // per-ISP namespacing of the AnyISP ablation; budgets are unbounded,
@@ -299,11 +299,15 @@ func checkAgainstReference(t *testing.T, label string, reused *Allocation, peers
 	}
 }
 
-// TestMatchIntoMatchesReference is the differential test of packed-key
-// grouping against the comparator-sort implementation it replaced:
-// 100k seeded random intervals must match bit for bit. Sizes are drawn
+// TestMatchIntoMatchesReference is the differential test of the
+// production grouping (stableOrder and the counting sort by PoP rank)
+// against the comparator-sort implementation it replaced: 100k seeded
+// random intervals must match bit for bit. Sizes are drawn
 // independently per case, so one recycled Allocation and the pooled
-// scratch keep growing and shrinking between calls.
+// scratch keep growing and shrinking between calls. A further 2000
+// cases draw 300–1100 peers, the size of the ingest-live benchmark's
+// largest swarms (p99 866 peers), where stableOrder's digits are
+// wider.
 func TestMatchIntoMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var reused Allocation
@@ -314,6 +318,12 @@ func TestMatchIntoMatchesReference(t *testing.T) {
 		}
 		peers, demands, caps, budget := diffCase(rng, n)
 		checkAgainstReference(t, fmt.Sprintf("case %d (n=%d)", c, n), &reused, peers, demands, caps, budget)
+	}
+	rng = rand.New(rand.NewSource(14))
+	for c := 0; c < 2000; c++ {
+		n := 300 + rng.Intn(801)
+		peers, demands, caps, budget := diffCase(rng, n)
+		checkAgainstReference(t, fmt.Sprintf("large case %d (n=%d)", c, n), &reused, peers, demands, caps, budget)
 	}
 }
 
@@ -334,8 +344,8 @@ func FuzzMatchIntoReference(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 10, 1, 1, 10, 10, 2, 2, 10, 10}, int32(1), -1.0, uint8(8<<3|4))
 	f.Fuzz(func(t *testing.T, data []byte, scale int32, budgetFrac float64, poison uint8) {
 		n := len(data) / 4
-		if n > 512 {
-			n = 512
+		if n > 2048 {
+			n = 2048
 		}
 		peers := make([]Peer, n)
 		demands := make([]float64, n)

@@ -6,6 +6,9 @@ import (
 	"consumelocal/internal/trace"
 )
 
+// daySec is the width of one column of the day grid, in trace seconds.
+const daySec = 24 * 3600
+
 // Booker accumulates matched interval allocations into the result grids
 // shared by the batch simulator and the streaming engine: the per-day /
 // per-ISP tally grid and the per-user byte ledgers. Both execution modes
@@ -68,6 +71,12 @@ func (s *SliceSource) LedgerAt(idx int, users map[uint32]*UserStats) *UserStats 
 // demands is parallel to iv.Active; sessions resolves a member index to
 // its session. The allocation is read-only and only for the duration of
 // the call, so both engines can recycle one Allocation per interval.
+//
+// An interval inside one day of the grid, the common case, books each
+// member's tally to that day directly: bookDays would scale it by
+// overlap/total = 1 exactly, which leaves every bit as it is, so only
+// intervals that cross a day boundary, leave the grid or start before
+// zero pay for the per-member split.
 func (b *Booker) BookInterval(iv swarm.Interval, alloc *matching.Allocation, demands []float64, sessions SessionSource) Tally {
 	var ivTally Tally
 	ivTally.ServerBits = alloc.ServerBits
@@ -75,6 +84,12 @@ func (b *Booker) BookInterval(iv swarm.Interval, alloc *matching.Allocation, dem
 	ivTally.TotalBits = alloc.ServerBits
 	for _, bits := range alloc.LayerBits {
 		ivTally.TotalBits += bits
+	}
+
+	var oneDay []Tally // the single day's per-ISP row, or nil
+	if day := iv.From / daySec; iv.From >= 0 && iv.To > iv.From &&
+		(iv.To-1)/daySec == day && day < int64(len(b.Days)) {
+		oneDay = b.Days[day]
 	}
 
 	peerTotal := ivTally.PeerBits()
@@ -96,7 +111,11 @@ func (b *Booker) BookInterval(iv swarm.Interval, alloc *matching.Allocation, dem
 				perUser.LayerBits[l] = alloc.LayerBits[l] * frac
 			}
 		}
-		b.bookDays(iv, int(s.ISP), perUser)
+		if oneDay != nil {
+			oneDay[s.ISP].Add(perUser)
+		} else {
+			b.bookDays(iv, int(s.ISP), perUser)
+		}
 
 		if b.Users != nil {
 			u := sessions.LedgerAt(idx, b.Users)
@@ -112,7 +131,6 @@ func (b *Booker) BookInterval(iv swarm.Interval, alloc *matching.Allocation, dem
 // proportionally to the overlap. Days beyond the grid (session tails
 // past the trace horizon) are dropped.
 func (b *Booker) bookDays(iv swarm.Interval, isp int, t Tally) {
-	const daySec = 24 * 3600
 	total := iv.Seconds()
 	if total <= 0 {
 		return
