@@ -29,8 +29,8 @@ test:
 	$(GO) test ./...
 
 ## race: race-check the concurrent subsystems (Replay API layer,
-## streaming engine, parallel simulator, daemon job manager, job
-## journal, load generator, incremental swarm, pooled matching scratch)
+## streaming engine, batch simulator, daemon job manager, job journal,
+## load generator, incremental swarm, pooled matching scratch)
 race:
 	$(GO) test -race . ./internal/engine/... ./internal/sim/... ./cmd/consumelocald/... \
 		./internal/joblog/... ./internal/loadgen/... ./internal/matching/... ./internal/swarm/...
@@ -54,14 +54,16 @@ bench:
 		exit 1; \
 	fi
 
-## loadtest: the full-scale daemon hammer — spawns its own consumelocald
+## loadtest: the full-scale daemon hammer — spawns its own durable
+## consumelocald (-data-dir under a temp dir, the shipped configuration)
 ## and drives 256 concurrent clients for 30s, writing BENCH_daemon.json
 ## (sessions/s, latency percentiles, error counts, /metrics cross-check;
 ## see docs/LOADTEST.md)
 loadtest:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/consumelocald" ./cmd/consumelocald && \
-	$(GO) run ./cmd/consumelocal loadtest -daemon "$$tmp/consumelocald" -o BENCH_daemon.json
+	$(GO) run ./cmd/consumelocal loadtest -daemon "$$tmp/consumelocald" \
+		-data-dir "$$tmp/data" -o BENCH_daemon.json
 
 ## loadtest-smoke: small-fleet end-to-end check of the load harness
 ## (64 clients, self-spawned daemon, asserts a well-formed report with

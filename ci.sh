@@ -28,6 +28,10 @@ go vet -vettool="$vet_tool_dir/consumelocal-vet" ./...
 fmt_drift="$(gofmt -s -l .)"
 test -z "$fmt_drift"
 go test ./...
+# The benchmark harness is a separate module (perfbench/go.mod) that the
+# root `go test ./...` skips; vet and test it so a change to the root
+# API cannot break the benchmark unseen.
+(cd perfbench && go vet ./... && go test ./...)
 go test -race . ./internal/engine/... ./cmd/consumelocald/... \
 	./internal/joblog/... ./internal/loadgen/... ./internal/matching/... ./internal/sim/... ./internal/swarm/...
 # Write-ahead ordering stress: the live stream and the journal once

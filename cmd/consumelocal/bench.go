@@ -23,16 +23,16 @@ import (
 // ns/op, B/op, allocs/op per engine and worker count — as JSON, so each
 // PR can record its before/after next to the code (see docs/PERF.md).
 //
-// The parallel and streaming engines are measured once per entry of the
-// -workers list (the multi-core scaling matrix); the batch engine is
-// single-threaded and measured once.
+// The streaming engine is measured once per entry of the -workers list
+// (the multi-core scaling matrix); the batch engine is single-threaded
+// and measured once.
 func runBench(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("consumelocal bench", flag.ContinueOnError)
 	fs.SetOutput(out)
 	scale := fs.Float64("scale", 0.002, "trace scale relative to the paper's dataset")
 	days := fs.Int("days", 14, "trace horizon in days")
 	seed := fs.Int64("seed", 1, "trace generator seed")
-	workers := fs.String("workers", "4", "comma-separated worker counts for the parallel/streaming engines (e.g. 1,2,4,8)")
+	workers := fs.String("workers", "4", "comma-separated worker counts for the streaming engine (e.g. 1,2,4,8)")
 	output := fs.String("o", "", "write the JSON report to this file (default: stdout only)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the benchmark runs to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile taken after the benchmark runs to this file")
@@ -87,12 +87,10 @@ func runBench(args []string, out io.Writer) error {
 		workers int
 	}
 	var cases []benchCase
-	// The batch engine is serial; worker counts apply to the other two.
+	// The batch engine is serial; worker counts apply to streaming.
 	cases = append(cases, benchCase{consumelocal.EngineBatch, 1})
-	for _, mode := range []consumelocal.EngineMode{consumelocal.EngineParallel, consumelocal.EngineStreaming} {
-		for _, w := range workerCounts {
-			cases = append(cases, benchCase{mode, w})
-		}
+	for _, w := range workerCounts {
+		cases = append(cases, benchCase{consumelocal.EngineStreaming, w})
 	}
 
 	fmt.Fprintf(out, "bench: %d sessions over %d days (scale %g, seed %d)\n",

@@ -46,7 +46,6 @@ func TestBenchWritesReport(t *testing.T) {
 	}
 	want := []entry{
 		{"batch", 1},
-		{"parallel", 1}, {"parallel", 2},
 		{"streaming", 1}, {"streaming", 2},
 	}
 	if len(report.Engines) != len(want) {

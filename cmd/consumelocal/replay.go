@@ -29,7 +29,7 @@ func runReplay(args []string, out io.Writer) error {
 	liveScale := fs.Float64("live", 0, "replay the evening-TV live broadcast schedule at this audience scale, fed through a live ingest stream with hourly watermarks")
 	genDays := fs.Int("days", 7, "generator horizon in days (with -generate)")
 	genSeed := fs.Int64("seed", 1, "generator seed (with -generate or -live)")
-	mode := fs.String("engine", "streaming", "engine mode: streaming, batch or parallel")
+	mode := fs.String("engine", "streaming", "engine mode: streaming or batch")
 	ratio := fs.Float64("ratio", 1.0, "upload-to-bitrate ratio q/beta")
 	window := fs.Int64("window", 3600, "reporting window in seconds")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "shard workers")

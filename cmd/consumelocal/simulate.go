@@ -10,6 +10,7 @@ import (
 
 	"consumelocal/internal/carbon"
 	"consumelocal/internal/energy"
+	"consumelocal/internal/engine"
 	"consumelocal/internal/sim"
 	"consumelocal/internal/swarm"
 	"consumelocal/internal/trace"
@@ -29,7 +30,7 @@ func runSimulate(args []string, out io.Writer) error {
 	cityWide := fs.Bool("city-wide", false, "allow swarms to span ISPs")
 	mixedBitrates := fs.Bool("mixed-bitrates", false, "allow swarms to mix bitrate classes")
 	jsonPath := fs.String("json", "", "write the full result as JSON to this path")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation workers")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "streaming engine shard workers")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -45,7 +46,7 @@ func runSimulate(args []string, out io.Writer) error {
 	cfg.QuantizeTickSec = *tick
 	cfg.Swarm = swarm.Options{RestrictISP: !*cityWide, SplitBitrate: !*mixedBitrates}
 
-	res, err := sim.RunParallel(tr, cfg, *workers)
+	res, err := engine.RunTrace(tr, cfg, *workers)
 	if err != nil {
 		return err
 	}

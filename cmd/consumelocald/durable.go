@@ -155,9 +155,9 @@ func (s *server) openDurability(dataDir string) error {
 // "carried" (already failed/cancelled, status re-served) or "dropped"
 // (journal says done but the result store has no document).
 func (s *server) recoverJob(st *joblog.JobState) (*job, string) {
-	// ParseEngineMode tolerates every mode the daemon ever journalled;
-	// an unknown one (journal from a newer binary) degrades to the
-	// zero mode rather than refusing recovery.
+	// An unknown mode — "parallel", journalled before that engine was
+	// removed, or one from a newer binary — degrades to the zero mode
+	// (streaming) rather than refusing recovery.
 	mode, _ := consumelocal.ParseEngineMode(st.Mode)
 	j := &job{
 		id:        st.ID,

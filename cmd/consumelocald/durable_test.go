@@ -10,7 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"consumelocal/internal/energy"
+	"consumelocal/internal/engine"
 	"consumelocal/internal/joblog"
+	"consumelocal/internal/sim"
+	"consumelocal/internal/trace"
 )
 
 // durableServer boots an in-process daemon with its journal under
@@ -335,5 +339,67 @@ func TestResumeFailsLoudly(t *testing.T) {
 	}
 	if st := rec.Jobs[0]; st.Status != "failed" || st.Error != errInterrupted {
 		t.Fatalf("journal after a failed resume records job 1 %q (%s), want failed with the restart error", st.Status, st.Error)
+	}
+}
+
+// TestRecoverJournalledParallelJobs recovers a journal written while the
+// daemon still accepted engine=parallel. That mode no longer parses, so
+// recovery degrades it to the zero mode (streaming) instead of refusing
+// the journal: the done job re-serves its stored result, and the job
+// that was running when the daemon died comes back failed as
+// interrupted.
+func TestRecoverJournalledParallelJobs(t *testing.T) {
+	dir := t.TempDir()
+	jl, _, err := joblog.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := joblog.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
+	meta := trace.Meta{Name: "old", Epoch: started, HorizonSec: 86400, NumUsers: 100, NumContent: 4, NumISPs: 2}
+	total := sim.Tally{TotalBits: 8e9, ServerBits: 5e9, LayerBits: [energy.NumLayers]float64{2e9, 1e9}}
+	snap := engine.Snapshot{ToSec: 86400, SessionsSeen: 40, Swarms: 3, Delta: total, Cumulative: total, Final: true}
+	if err := store.Put(1, storedResult{
+		ID: 1, Name: "done", Kind: "generator", Mode: "parallel", Started: started, Meta: meta,
+		Snapshots: 1, Snapshot: snap, Result: &sim.Result{Total: total, PolicyName: "locality-first"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []joblog.Record{
+		{Type: joblog.TypeCreated, Job: 1, Name: "done", Kind: "generator", Mode: "parallel", Started: started, Meta: &meta},
+		{Type: joblog.TypeFinished, Job: 1, Status: "done", Snapshots: 1},
+		{Type: joblog.TypeCreated, Job: 2, Name: "running", Kind: "trace", Mode: "parallel", Started: started, Meta: &meta},
+	} {
+		if err := jl.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, ts := durableServer(t, dir, 0)
+	if rec := srv.recovered; rec.Restored != 1 || rec.Interrupted != 1 {
+		t.Fatalf("recovery = %+v, want 1 restored and 1 interrupted", rec)
+	}
+	var done jobView
+	getJSON(t, ts.URL+"/v1/jobs/1", &done)
+	if done.Status != "done" || done.Mode != "streaming" || done.Snapshots != 1 || done.Snapshot != snap {
+		t.Fatalf("recovered done job = %+v, want done in streaming mode with its stored snapshot", done)
+	}
+	var en struct {
+		Tally sim.Tally `json:"tally"`
+	}
+	getJSON(t, ts.URL+"/v1/jobs/1/energy", &en)
+	if en.Tally != total {
+		t.Fatalf("recovered /energy tally = %+v, want the stored %+v", en.Tally, total)
+	}
+	var running jobView
+	getJSON(t, ts.URL+"/v1/jobs/2", &running)
+	if running.Status != "failed" || running.Error != errInterrupted || running.Mode != "streaming" {
+		t.Fatalf("recovered running job = %+v, want failed in streaming mode with the restart error", running)
 	}
 }

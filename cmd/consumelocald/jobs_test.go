@@ -389,6 +389,7 @@ func TestCreateJobRejectsBadInput(t *testing.T) {
 	for _, url := range []string{
 		"/v1/jobs?ratio=nope",
 		"/v1/jobs?engine=quantum",
+		"/v1/jobs?engine=parallel",
 		"/v1/jobs?source=quantum",
 		"/v1/jobs?source=generator&scale=wat",
 		"/v1/jobs?source=generator&scale=0",

@@ -36,8 +36,8 @@
 //	                                watermark advances from the daemon
 //	                                clock for producers that send none.
 //	                                Shared query: ratio, window,
-//	                                workers, engine (streaming|batch|
-//	                                parallel; ingest is streaming-only),
+//	                                workers, engine (streaming|batch;
+//	                                ingest is streaming-only),
 //	                                participation, tick, seed_retention,
 //	                                city_wide, mixed_bitrates,
 //	                                track_users, name.

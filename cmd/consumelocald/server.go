@@ -41,9 +41,9 @@ const defaultMaxJobs = 4
 // defaultMaxBodyBytes caps the trace CSV a single replay submission may
 // upload (the paper's full-scale trace is ~1.5 GB; 4 GiB leaves
 // headroom without letting one request exhaust the disk). Note the
-// in-memory engines (engine=batch|parallel) materialise the sessions in
-// RAM up to this cap × max-jobs concurrently — operators hosting those
-// on small machines should lower -max-body or -max-jobs.
+// in-memory engine (engine=batch) materialises the sessions in RAM up to
+// this cap × max-jobs concurrently — operators hosting it on small
+// machines should lower -max-body or -max-jobs.
 const defaultMaxBodyBytes = 4 << 30
 
 // maxJobSnapshots caps the per-job snapshot history: beyond it the
@@ -1430,9 +1430,9 @@ func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
-	// The same spool cap as /v1/jobs: batch and parallel engines
-	// materialise the body in memory, so an unbounded stream must not
-	// reach them. Exceeding the cap mid-replay fails the job with a
+	// The same spool cap as /v1/jobs: the batch engine materialises
+	// the body in memory, so an unbounded stream must not reach it.
+	// Exceeding the cap mid-replay fails the job with a
 	// body-read error. The read deadline covers only the
 	// pre-registration phase (CSV header, job startup): a client that
 	// stalls before the job is registered cannot pin its claimed slot

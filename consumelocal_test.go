@@ -2,6 +2,7 @@ package consumelocal_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -41,10 +42,7 @@ func TestFacadeEndToEndPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := consumelocal.Simulate(tr, consumelocal.DefaultSimConfig(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replayResult(t, tr, consumelocal.WithEngine(consumelocal.EngineBatch))
 	if res.Total.TotalBits <= 0 {
 		t.Fatal("no traffic simulated")
 	}
@@ -69,10 +67,7 @@ func TestFacadeStreamingReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, err := consumelocal.Simulate(tr, consumelocal.DefaultSimConfig(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := replayResult(t, tr, consumelocal.WithEngine(consumelocal.EngineBatch))
 
 	// Stream the CSV form out-of-core and check it converges to the
 	// batch result.
@@ -80,17 +75,19 @@ func TestFacadeStreamingReplay(t *testing.T) {
 	if err := consumelocal.WriteTraceCSV(tr, &buf); err != nil {
 		t.Fatal(err)
 	}
-	streamCfg := consumelocal.DefaultStreamConfig(1.0)
-	streamCfg.WindowSec = 6 * 3600
-	run, err := consumelocal.Stream(&buf, streamCfg)
+	src, err := consumelocal.CSVSource(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := consumelocal.Replay(context.Background(), src, consumelocal.WithWindow(6*3600))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var snapshots int
-	for range run.Snapshots() {
+	for range job.Snapshots() {
 		snapshots++
 	}
-	got, err := run.Result()
+	got, err := job.Result()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -46,11 +47,11 @@ func run(scale float64) error {
 	}
 
 	simCfg := consumelocal.DefaultSimConfig(1.0)
-	liveRes, err := consumelocal.Simulate(live, simCfg)
+	liveRes, err := simulate(live, simCfg)
 	if err != nil {
 		return err
 	}
-	cuRes, err := consumelocal.Simulate(catchup, simCfg)
+	cuRes, err := simulate(catchup, simCfg)
 	if err != nil {
 		return err
 	}
@@ -79,4 +80,14 @@ func run(scale float64) error {
 	fmt.Printf("\nlargest live swarm capacity (day average): %.1f concurrent viewers\n", peak)
 	fmt.Println("live synchronisation pushes swarms toward the asymptotic savings bound.")
 	return nil
+}
+
+// simulate replays tr on the batch simulator and returns its result.
+func simulate(tr *consumelocal.Trace, cfg consumelocal.SimConfig) (*consumelocal.SimResult, error) {
+	job, err := consumelocal.Replay(context.Background(), consumelocal.TraceSource(tr),
+		consumelocal.WithSimConfig(cfg), consumelocal.WithEngine(consumelocal.EngineBatch))
+	if err != nil {
+		return nil, err
+	}
+	return job.Result()
 }

@@ -45,10 +45,7 @@ func TestInstrumentationStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := consumelocal.Simulate(tr, consumelocal.DefaultSimConfig(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := replayResult(t, tr, consumelocal.WithEngine(consumelocal.EngineBatch))
 	assertSwarmsIdentical(t, "instrumented streaming", res, plain)
 
 	exp := scrape(t, reg)

@@ -161,8 +161,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 
 // TestStreamDeterministicAcrossWorkers checks that the sharded pipeline
 // is invariant to the worker count: per-swarm statistics and the total
-// are bit-for-bit identical, aggregates within float associativity —
-// mirroring sim.RunParallel's guarantee.
+// are bit-for-bit identical, aggregates within float associativity.
 func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 	tr := testTrace(t)
 	cfg := sim.DefaultConfig(1.0)

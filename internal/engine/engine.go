@@ -1,7 +1,8 @@
-// Package engine is the streaming counterpart of package sim: an
-// event-driven, out-of-core replay engine that consumes a session trace
-// as an arrival-ordered stream and simulates the paper's hybrid CDN
-// without ever materialising the full trace in memory.
+// Package engine is the production replay engine, the streaming
+// counterpart of package sim's batch reference: an event-driven,
+// out-of-core engine that consumes a session trace as an
+// arrival-ordered stream and simulates the paper's hybrid CDN without
+// ever materialising the full trace in memory.
 //
 // Where sim.Run groups the whole trace into swarms up front and sweeps
 // each swarm's activity intervals in isolation, the engine turns every
@@ -14,7 +15,7 @@
 // cumulative per-swarm tallies and the key-ordered grand total are
 // bit-for-bit identical to sim.Run, while cross-swarm aggregates (day
 // grid, user ledgers) agree within floating-point associativity (~1e-12
-// relative), mirroring sim.RunParallel's documented guarantee.
+// relative).
 //
 // The event stream is sharded across workers by swarm key — swarms are
 // independent, so the partition is exact — and results merge in
@@ -157,6 +158,18 @@ func (r *Run) Result() (*sim.Result, error) {
 // drain it. Use StreamContext when the replay should be abortable.
 func Stream(src Source, cfg Config) (*Run, error) {
 	return StreamContext(context.Background(), src, cfg)
+}
+
+// RunTrace replays an in-memory trace on the given number of shard
+// workers (zero means the Config default) and returns the drained
+// result: the one-call form the experiment harnesses and the CLI's
+// simulate subcommand use.
+func RunTrace(t *trace.Trace, simCfg sim.Config, workers int) (*sim.Result, error) {
+	run, err := Stream(TraceSource(t), Config{Sim: simCfg, Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	return run.Result()
 }
 
 // StreamContext is Stream under a context: when ctx is cancelled the

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"consumelocal/internal/core"
+	"consumelocal/internal/engine"
 	"consumelocal/internal/matching"
 	"consumelocal/internal/sim"
 	"consumelocal/internal/stats"
@@ -35,7 +35,7 @@ func AblationMatching(cfg Config) (*Table, error) {
 		simCfg := sim.DefaultConfig(cfg.UploadRatio)
 		simCfg.Policy = policy
 		simCfg.TrackUsers = false
-		result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+		result, err := engine.RunTrace(tr, simCfg, 0)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation matching: %w", err)
 		}
@@ -80,7 +80,7 @@ func AblationSwarmScope(cfg Config) (*Table, error) {
 		simCfg := sim.DefaultConfig(cfg.UploadRatio)
 		simCfg.Swarm = tc.opts
 		simCfg.TrackUsers = false
-		result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+		result, err := engine.RunTrace(tr, simCfg, 0)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation scope: %w", err)
 		}
@@ -115,7 +115,7 @@ func AblationBudget(cfg Config) (*Table, error) {
 		simCfg := sim.DefaultConfig(cfg.UploadRatio)
 		simCfg.DisablePaperBudget = disabled
 		simCfg.TrackUsers = false
-		result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+		result, err := engine.RunTrace(tr, simCfg, 0)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation budget: %w", err)
 		}

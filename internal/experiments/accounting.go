@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"consumelocal/internal/energy"
+	"consumelocal/internal/engine"
 	"consumelocal/internal/sim"
 	"consumelocal/internal/trace"
 )
@@ -28,7 +28,7 @@ func Accounting(cfg Config) (*Table, error) {
 		return nil, fmt.Errorf("experiments: accounting: %w", err)
 	}
 	simCfg := sim.DefaultConfig(cfg.UploadRatio)
-	result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+	result, err := engine.RunTrace(tr, simCfg, 0)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: accounting: %w", err)
 	}

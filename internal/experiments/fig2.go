@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"consumelocal/internal/core"
+	"consumelocal/internal/engine"
 	"consumelocal/internal/sim"
 	"consumelocal/internal/stats"
 	"consumelocal/internal/swarm"
@@ -100,7 +100,7 @@ func Fig2(cfg Config) (*Fig2Result, error) {
 		for _, ratio := range Fig2Ratios {
 			simCfg := sim.DefaultConfig(ratio)
 			simCfg.TrackUsers = false
-			result, err := sim.RunParallel(sub, simCfg, runtime.GOMAXPROCS(0))
+			result, err := engine.RunTrace(sub, simCfg, 0)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fig2: tier %s: %w", tier.name, err)
 			}

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"consumelocal/internal/energy"
+	"consumelocal/internal/engine"
 	"consumelocal/internal/sim"
 	"consumelocal/internal/stats"
 	"consumelocal/internal/trace"
@@ -34,7 +34,7 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 	}
 	simCfg := sim.DefaultConfig(cfg.UploadRatio)
 	simCfg.TrackUsers = false
-	result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+	result, err := engine.RunTrace(tr, simCfg, 0)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig3: %w", err)
 	}

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"consumelocal/internal/core"
+	"consumelocal/internal/engine"
 	"consumelocal/internal/sim"
 	"consumelocal/internal/stats"
 	"consumelocal/internal/swarm"
@@ -37,12 +37,13 @@ func Fig4(cfg Config) (*Fig4Result, error) {
 	}
 	simCfg := sim.DefaultConfig(cfg.UploadRatio)
 	simCfg.TrackUsers = false
-	result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+	result, err := engine.RunTrace(tr, simCfg, 0)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig4: %w", err)
 	}
 
 	probs := topology.DefaultLondon().Probabilities()
+	var grouper swarm.Grouper
 	res := &Fig4Result{
 		Summary: &Table{
 			Title:   "Fig. 4 month-average aggregate savings",
@@ -70,7 +71,7 @@ func Fig4(cfg Config) (*Fig4Result, error) {
 					continue
 				}
 				simS := sim.Evaluate(tally, params).Savings
-				theoS := theoreticalDailySavings(tr, model, simCfg.Swarm, day, isp, cfg.UploadRatio)
+				theoS := theoreticalDailySavings(&grouper, tr, model, simCfg.Swarm, day, isp, cfg.UploadRatio)
 				simSeries.Points = append(simSeries.Points, stats.Point{X: float64(day + 1), Y: simS})
 				theoSeries.Points = append(theoSeries.Points, stats.Point{X: float64(day + 1), Y: theoS})
 				simVals = append(simVals, simS)
@@ -92,8 +93,9 @@ func Fig4(cfg Config) (*Fig4Result, error) {
 // theoreticalDailySavings evaluates the closed form for one day and ISP:
 // sessions overlapping the day are clipped to it, grouped into swarms, and
 // each swarm contributes S(c_day) weighted by its traffic within the day.
-func theoreticalDailySavings(tr *trace.Trace, model *core.Model, opts swarm.Options,
-	day, isp int, ratio float64) float64 {
+// The grouper's arena is reused across the calls of one Fig4 run.
+func theoreticalDailySavings(grouper *swarm.Grouper, tr *trace.Trace, model *core.Model,
+	opts swarm.Options, day, isp int, ratio float64) float64 {
 	const daySec = int64(24 * 3600)
 	dayStart := int64(day) * daySec
 	dayEnd := dayStart + daySec
@@ -127,6 +129,6 @@ func theoreticalDailySavings(tr *trace.Trace, model *core.Model, opts swarm.Opti
 		}
 		clipped.Sessions = append(clipped.Sessions, s)
 	}
-	swarms := swarm.Group(clipped, opts)
+	swarms := grouper.Group(clipped, opts)
 	return theoreticalSwarmSavings(model, swarms, daySec, ratio)
 }

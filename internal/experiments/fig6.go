@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"consumelocal/internal/carbon"
+	"consumelocal/internal/engine"
 	"consumelocal/internal/sim"
 	"consumelocal/internal/trace"
 )
@@ -28,7 +28,7 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 		return nil, fmt.Errorf("experiments: fig6: %w", err)
 	}
 	simCfg := sim.DefaultConfig(cfg.UploadRatio)
-	result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+	result, err := engine.RunTrace(tr, simCfg, 0)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig6: %w", err)
 	}

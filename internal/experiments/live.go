@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
+	"consumelocal/internal/engine"
 	"consumelocal/internal/sim"
 	"consumelocal/internal/trace"
 )
@@ -49,7 +49,7 @@ func Live(cfg Config) (*Table, error) {
 	} {
 		simCfg := sim.DefaultConfig(cfg.UploadRatio)
 		simCfg.TrackUsers = false
-		result, err := sim.RunParallel(tc.tr, simCfg, runtime.GOMAXPROCS(0))
+		result, err := engine.RunTrace(tc.tr, simCfg, 0)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: live: %s: %w", tc.name, err)
 		}

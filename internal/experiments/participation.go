@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
+	"consumelocal/internal/engine"
 	"consumelocal/internal/sim"
 	"consumelocal/internal/trace"
 )
@@ -38,7 +38,7 @@ func AblationParticipation(cfg Config) (*Table, error) {
 		simCfg := sim.DefaultConfig(cfg.UploadRatio)
 		simCfg.ParticipationRate = rate
 		simCfg.TrackUsers = false
-		result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+		result, err := engine.RunTrace(tr, simCfg, 0)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation participation: %w", err)
 		}

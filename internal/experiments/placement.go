@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"consumelocal/internal/core"
+	"consumelocal/internal/engine"
 	"consumelocal/internal/sim"
 	"consumelocal/internal/stats"
 	"consumelocal/internal/swarm"
@@ -31,6 +31,7 @@ func AblationPlacement(cfg Config) (*Table, error) {
 	}
 
 	probs := topology.DefaultLondon().Probabilities()
+	var grouper swarm.Grouper
 	for _, skew := range []float64{0, 0.5, 1.0} {
 		gc := cfg.generatorConfig(fmt.Sprintf("placement-skew-%g", skew), cfg.Seed)
 		gc.ExchangeSkew = skew
@@ -40,7 +41,7 @@ func AblationPlacement(cfg Config) (*Table, error) {
 		}
 		simCfg := sim.DefaultConfig(cfg.UploadRatio)
 		simCfg.TrackUsers = false
-		result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+		result, err := engine.RunTrace(tr, simCfg, 0)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation placement: %w", err)
 		}
@@ -50,7 +51,7 @@ func AblationPlacement(cfg Config) (*Table, error) {
 			label = fmt.Sprintf("zipf skew %.1f", skew)
 		}
 		row := []string{label, formatPercent(result.Total.Offload())}
-		swarms := swarm.Group(tr, simCfg.Swarm)
+		swarms := grouper.Group(tr, simCfg.Swarm)
 		for _, params := range cfg.Models {
 			model, err := core.New(params, probs)
 			if err != nil {
@@ -78,7 +79,7 @@ func PlacementGap(cfg Config, skew float64) (float64, error) {
 	}
 	simCfg := sim.DefaultConfig(cfg.UploadRatio)
 	simCfg.TrackUsers = false
-	result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+	result, err := engine.RunTrace(tr, simCfg, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -87,6 +88,6 @@ func PlacementGap(cfg Config, skew float64) (float64, error) {
 		return 0, err
 	}
 	simS := sim.Evaluate(result.Total, cfg.Models[0]).Savings
-	theoS := theoreticalSwarmSavings(model, swarm.Group(tr, simCfg.Swarm), tr.HorizonSec, cfg.UploadRatio)
+	theoS := theoreticalSwarmSavings(model, new(swarm.Grouper).Group(tr, simCfg.Swarm), tr.HorizonSec, cfg.UploadRatio)
 	return stats.Clamp(simS-theoS, -1, 1), nil
 }

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"consumelocal/internal/cdn"
+	"consumelocal/internal/engine"
 	"consumelocal/internal/sim"
 	"consumelocal/internal/trace"
 )
@@ -23,7 +23,7 @@ func Provisioning(cfg Config) (*Table, error) {
 	}
 	simCfg := sim.DefaultConfig(cfg.UploadRatio)
 	simCfg.TrackUsers = false
-	result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+	result, err := engine.RunTrace(tr, simCfg, 0)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: provisioning: %w", err)
 	}

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
+	"consumelocal/internal/engine"
 	"consumelocal/internal/sim"
 	"consumelocal/internal/trace"
 )
@@ -37,7 +37,7 @@ func ScaleSweep(cfg Config, scales []float64) (*Table, error) {
 		}
 		simCfg := sim.DefaultConfig(cfg.UploadRatio)
 		simCfg.TrackUsers = false
-		result, err := sim.RunParallel(tr, simCfg, runtime.GOMAXPROCS(0))
+		result, err := engine.RunTrace(tr, simCfg, 0)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scale sweep: %w", err)
 		}

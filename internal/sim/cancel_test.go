@@ -111,47 +111,3 @@ func TestRunContextCancelsBetweenSweeps(t *testing.T) {
 		t.Fatalf("cancelled run still settled %d of %d intervals; cancellation not observed between sweeps", got, totalCalls)
 	}
 }
-
-func TestRunParallelContextPreCancelled(t *testing.T) {
-	tr := cancelTestTrace(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := RunParallelContext(ctx, tr, DefaultConfig(1.0), 4)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunParallelContext = %v, want context.Canceled", err)
-	}
-	if res != nil {
-		t.Fatal("cancelled run produced a result")
-	}
-}
-
-// TestRunParallelContextCancelsBetweenSweeps: every pool worker must
-// observe cancellation between its swarm sweeps.
-func TestRunParallelContextCancelsBetweenSweeps(t *testing.T) {
-	tr := cancelTestTrace(t)
-
-	full := DefaultConfig(1.0)
-	counter := &countingPolicy{inner: full.Policy}
-	full.Policy = counter
-	if _, err := RunParallel(tr, full, 4); err != nil {
-		t.Fatal(err)
-	}
-	totalCalls := counter.calls.Load()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg := DefaultConfig(1.0)
-	cp := &cancellingPolicy{inner: cfg.Policy, cancel: cancel}
-	cfg.Policy = cp
-
-	res, err := RunParallelContext(ctx, tr, cfg, 4)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunParallelContext = %v, want context.Canceled", err)
-	}
-	if res != nil {
-		t.Fatal("cancelled run produced a result")
-	}
-	if got := cp.calls.Load(); got >= totalCalls/2 {
-		t.Fatalf("cancelled run still settled %d of %d intervals; cancellation not observed between sweeps", got, totalCalls)
-	}
-}

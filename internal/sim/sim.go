@@ -366,7 +366,7 @@ type engine struct {
 
 	// sweeper holds the per-swarm sweep scratch (event slice, active
 	// set, interval buffer and arena), reused across every swarm of the
-	// run — per worker in the parallel engine.
+	// run.
 	sweeper swarm.Sweeper
 	// alloc is the engine-owned matching result, recycled through
 	// Policy.MatchInto each interval.

@@ -25,8 +25,10 @@ type Grouper struct {
 }
 
 // Group partitions the trace's sessions into swarms under the given
-// options, exactly as the package-level Group: sorted by key, members in
-// trace order. See the type comment for the ownership rules.
+// options. The returned slice is sorted by key (content, ISP, bitrate),
+// so iteration order — and therefore every downstream aggregate — is
+// deterministic; members keep trace order. See the type comment for the
+// ownership rules.
 func (g *Grouper) Group(t *trace.Trace, opts Options) []*Swarm {
 	if g.ids == nil {
 		g.ids = make(map[Key]int32)

@@ -79,19 +79,9 @@ type Swarm struct {
 	Sessions []trace.Session
 }
 
-// Group partitions the trace's sessions into swarms under the given
-// options. The returned slice is sorted by key (content, ISP, bitrate) so
-// that iteration order — and therefore every downstream aggregate — is
-// deterministic. It is a convenience over a throwaway Grouper: callers
-// that group repeatedly (the simulator does it once per run) should hold
-// a Grouper and reuse its arena instead.
-func Group(t *trace.Trace, opts Options) []*Swarm {
-	return new(Grouper).Group(t, opts)
-}
-
 // Less orders keys lexicographically (content, ISP, bitrate) for
 // deterministic iteration; exported so the streaming engine can merge
-// sharded per-swarm results in the same order as Group.
+// sharded per-swarm results in the same order as Grouper.Group.
 func (k Key) Less(other Key) bool {
 	if k.Content != other.Content {
 		return k.Content < other.Content
@@ -140,41 +130,3 @@ type Interval struct {
 
 // Seconds returns the interval length.
 func (iv Interval) Seconds() float64 { return float64(iv.To - iv.From) }
-
-// Sweep produces the swarm's activity intervals in time order. Intervals
-// with no active sessions are omitted: they contribute neither demand nor
-// peer traffic. The Active slices index into sw.Sessions.
-//
-// Deprecated: Sweep allocates a throwaway Sweeper per call. Callers that
-// sweep many swarms (the simulator's shape) should hold a Sweeper and
-// reuse its scratch buffers across the loop; Sweep remains for one-off
-// callers and produces the identical interval sequence.
-//
-//consumelocal:borrowed return
-func (sw *Swarm) Sweep() []Interval {
-	return new(Sweeper).Sweep(sw)
-}
-
-// PeakConcurrency returns the maximum number of simultaneously active
-// sessions in the swarm.
-func (sw *Swarm) PeakConcurrency() int {
-	peak := 0
-	for _, iv := range sw.Sweep() {
-		if len(iv.Active) > peak {
-			peak = len(iv.Active)
-		}
-	}
-	return peak
-}
-
-// ActiveSeconds returns the total time the swarm has at least one active
-// session, and the time it has at least two (i.e. sharing is possible).
-func (sw *Swarm) ActiveSeconds() (busy, sharing float64) {
-	for _, iv := range sw.Sweep() {
-		busy += iv.Seconds()
-		if len(iv.Active) >= 2 {
-			sharing += iv.Seconds()
-		}
-	}
-	return busy, sharing
-}

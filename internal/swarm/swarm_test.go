@@ -70,7 +70,7 @@ func TestGroupPartitions(t *testing.T) {
 		session(5, 9, 0, 40, 60, trace.BitrateSD), // other content
 	)
 
-	swarms := Group(tr, DefaultOptions())
+	swarms := new(Grouper).Group(tr, DefaultOptions())
 	if len(swarms) != 4 {
 		t.Fatalf("got %d swarms, want 4", len(swarms))
 	}
@@ -93,7 +93,7 @@ func TestGroupWithoutRestrictionsMergesISPs(t *testing.T) {
 		session(1, 7, 0, 0, 60, trace.BitrateSD),
 		session(3, 7, 1, 20, 60, trace.BitrateSD),
 	)
-	swarms := Group(tr, Options{RestrictISP: false, SplitBitrate: true})
+	swarms := new(Grouper).Group(tr, Options{RestrictISP: false, SplitBitrate: true})
 	if len(swarms) != 1 {
 		t.Fatalf("got %d swarms, want 1 city-wide swarm", len(swarms))
 	}
@@ -109,9 +109,9 @@ func TestGroupDeterministicOrder(t *testing.T) {
 		session(3, 7, 0, 0, 60, trace.BitrateSD),
 		session(4, 7, 1, 0, 60, trace.BitrateSD),
 	)
-	first := Group(tr, DefaultOptions())
+	first := new(Grouper).Group(tr, DefaultOptions())
 	for run := 0; run < 5; run++ {
-		again := Group(tr, DefaultOptions())
+		again := new(Grouper).Group(tr, DefaultOptions())
 		for i := range first {
 			if first[i].Key != again[i].Key {
 				t.Fatalf("group order changed between runs at %d", i)
@@ -156,7 +156,7 @@ func TestSweepSimpleOverlap(t *testing.T) {
 		session(1, 0, 0, 0, 100, trace.BitrateSD),  // [0, 100)
 		session(2, 0, 0, 50, 100, trace.BitrateSD), // [50, 150)
 	}}
-	intervals := sw.Sweep()
+	intervals := new(Sweeper).Sweep(sw)
 	want := []struct {
 		from, to int64
 		active   []int
@@ -189,7 +189,7 @@ func TestSweepSkipsEmptyGaps(t *testing.T) {
 		session(1, 0, 0, 0, 10, trace.BitrateSD),
 		session(2, 0, 0, 100, 10, trace.BitrateSD),
 	}}
-	intervals := sw.Sweep()
+	intervals := new(Sweeper).Sweep(sw)
 	if len(intervals) != 2 {
 		t.Fatalf("got %d intervals, want 2 (gap omitted)", len(intervals))
 	}
@@ -204,7 +204,7 @@ func TestSweepBackToBackSessionsNotConcurrent(t *testing.T) {
 		session(1, 0, 0, 0, 100, trace.BitrateSD),
 		session(2, 0, 0, 100, 100, trace.BitrateSD),
 	}}
-	for _, iv := range sw.Sweep() {
+	for _, iv := range new(Sweeper).Sweep(sw) {
 		if len(iv.Active) > 1 {
 			t.Errorf("back-to-back sessions appear concurrent in %+v", iv)
 		}
@@ -217,7 +217,7 @@ func TestSweepIdenticalIntervals(t *testing.T) {
 		session(2, 0, 0, 10, 50, trace.BitrateSD),
 		session(3, 0, 0, 10, 50, trace.BitrateSD),
 	}}
-	intervals := sw.Sweep()
+	intervals := new(Sweeper).Sweep(sw)
 	if len(intervals) != 1 {
 		t.Fatalf("got %d intervals, want 1", len(intervals))
 	}
@@ -228,7 +228,7 @@ func TestSweepIdenticalIntervals(t *testing.T) {
 
 func TestSweepEmptySwarm(t *testing.T) {
 	sw := &Swarm{}
-	if got := sw.Sweep(); len(got) != 0 {
+	if got := new(Sweeper).Sweep(sw); len(got) != 0 {
 		t.Errorf("empty swarm swept to %d intervals", len(got))
 	}
 }
@@ -249,7 +249,7 @@ func TestSweepProperties(t *testing.T) {
 			userSeconds += int64(dur)
 		}
 		sw := &Swarm{Sessions: sessions}
-		intervals := sw.Sweep()
+		intervals := new(Sweeper).Sweep(sw)
 
 		var prevTo int64 = -1 << 62
 		var sweptSeconds int64
@@ -276,34 +276,6 @@ func TestSweepProperties(t *testing.T) {
 	}
 }
 
-func TestPeakConcurrency(t *testing.T) {
-	sw := &Swarm{Sessions: []trace.Session{
-		session(1, 0, 0, 0, 100, trace.BitrateSD),
-		session(2, 0, 0, 50, 100, trace.BitrateSD),
-		session(3, 0, 0, 60, 10, trace.BitrateSD),
-	}}
-	if got := sw.PeakConcurrency(); got != 3 {
-		t.Errorf("PeakConcurrency = %d, want 3", got)
-	}
-	if got := (&Swarm{}).PeakConcurrency(); got != 0 {
-		t.Errorf("empty PeakConcurrency = %d, want 0", got)
-	}
-}
-
-func TestActiveSeconds(t *testing.T) {
-	sw := &Swarm{Sessions: []trace.Session{
-		session(1, 0, 0, 0, 100, trace.BitrateSD),
-		session(2, 0, 0, 50, 100, trace.BitrateSD),
-	}}
-	busy, sharing := sw.ActiveSeconds()
-	if busy != 150 {
-		t.Errorf("busy = %v, want 150", busy)
-	}
-	if sharing != 50 {
-		t.Errorf("sharing = %v, want 50", sharing)
-	}
-}
-
 func TestGroupOnGeneratedTrace(t *testing.T) {
 	cfg := trace.DefaultGeneratorConfig(0.001)
 	cfg.Days = 5
@@ -311,7 +283,7 @@ func TestGroupOnGeneratedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swarms := Group(tr, DefaultOptions())
+	swarms := new(Grouper).Group(tr, DefaultOptions())
 	if len(swarms) == 0 {
 		t.Fatal("no swarms from generated trace")
 	}

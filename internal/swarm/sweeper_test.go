@@ -12,13 +12,12 @@ func sweepWorkloadSwarm(n int) *Swarm {
 	return &Swarm{Key: Key{Content: 1}, Sessions: trackerWorkload(n)}
 }
 
-// TestSweeperMatchesSweep pins the Sweeper to the deprecated
-// (*Swarm).Sweep contract on a heavily overlapping workload: identical
-// interval boundaries and identical ascending active sets, and identical
-// output when the same Sweeper is reused across sweeps.
+// TestSweeperMatchesSweep pins a reused Sweeper to a fresh one's sweep
+// on a heavily overlapping workload: identical interval boundaries and
+// identical ascending active sets in every round of reuse.
 func TestSweeperMatchesSweep(t *testing.T) {
 	sw := sweepWorkloadSwarm(256)
-	want := sw.Sweep()
+	want := new(Sweeper).Sweep(sw)
 
 	var sp Sweeper
 	for round := 0; round < 3; round++ {
@@ -62,9 +61,9 @@ func TestSweeperAllocs(t *testing.T) {
 	}
 }
 
-// TestGrouperMatchesGroup pins the Grouper to the package-level Group
-// contract: same key order, same members in trace order, stable across
-// arena reuse.
+// TestGrouperMatchesGroup pins a reused Grouper to a fresh one's
+// grouping: same key order, same members in trace order in every round
+// of arena reuse.
 func TestGrouperMatchesGroup(t *testing.T) {
 	sessions := trackerWorkload(256)
 	for i := range sessions {
@@ -74,7 +73,7 @@ func TestGrouperMatchesGroup(t *testing.T) {
 	}
 	tr := &trace.Trace{Sessions: sessions}
 	opts := DefaultOptions()
-	want := Group(tr, opts)
+	want := new(Grouper).Group(tr, opts)
 
 	var g Grouper
 	for round := 0; round < 3; round++ {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
@@ -21,14 +20,13 @@ import (
 // LiveSource extension — directly.
 type Source = engine.Source
 
-// TraceSource adapts an in-memory trace into a Source. Batch and
-// parallel replays recognise it and reuse the trace directly instead of
-// re-collecting the sessions.
+// TraceSource adapts an in-memory trace into a Source. Batch replays
+// recognise it and reuse the trace directly instead of re-collecting
+// the sessions.
 func TraceSource(t *Trace) Source { return &memSource{Source: engine.TraceSource(t), tr: t} }
 
 // memSource remembers the backing trace so batch-mode replays skip the
-// collect step — which is what makes Simulate over Replay bit-for-bit
-// free of overhead.
+// collect step.
 type memSource struct {
 	Source
 	tr *Trace
@@ -58,9 +56,6 @@ const (
 	// emitted; cancellation is observed while collecting the source and
 	// between swarm sweeps, not inside one swarm's sweep.
 	EngineBatch
-	// EngineParallel is EngineBatch on a worker pool (swarms processed
-	// concurrently, merged deterministically).
-	EngineParallel
 )
 
 // ParseEngineMode inverts EngineMode.String: it resolves the mode names
@@ -72,10 +67,8 @@ func ParseEngineMode(s string) (EngineMode, error) {
 		return EngineStreaming, nil
 	case "batch":
 		return EngineBatch, nil
-	case "parallel":
-		return EngineParallel, nil
 	default:
-		return 0, fmt.Errorf("unknown engine mode %q (want streaming, batch or parallel)", s)
+		return 0, fmt.Errorf("unknown engine mode %q (want streaming or batch)", s)
 	}
 }
 
@@ -86,15 +79,13 @@ func (m EngineMode) String() string {
 		return "streaming"
 	case EngineBatch:
 		return "batch"
-	case EngineParallel:
-		return "parallel"
 	default:
 		return fmt.Sprintf("mode-%d", int(m))
 	}
 }
 
 // replayOptions collects the Option knobs; the zero value plus defaults
-// reproduces DefaultStreamConfig(1.0) on the streaming engine.
+// is the paper's configuration at q/β = 1 on the streaming engine.
 type replayOptions struct {
 	cfg   engine.Config
 	mode  EngineMode
@@ -125,8 +116,8 @@ func WithEngine(mode EngineMode) Option {
 	return func(o *replayOptions) { o.mode = mode }
 }
 
-// WithWorkers sets the worker count: shard workers for the streaming
-// engine, pool size for EngineParallel. Zero means the engine default.
+// WithWorkers sets the streaming engine's shard worker count; the
+// serial batch engine ignores it. Zero means the engine default.
 func WithWorkers(n int) Option {
 	return func(o *replayOptions) { o.cfg.Workers = n }
 }
@@ -247,14 +238,12 @@ func (j *Job) finish(sinks []Sink, res *SimResult, err error) {
 
 // Replay starts one replay of src under ctx and returns the running Job.
 //
-// Replay is the single entry point every other replay API is a veneer
-// over: the engine mode (streaming by default; batch and parallel for
-// the in-memory reference paths), the reporting window, worker count and
-// attached sinks are all Options, and the three modes produce per-swarm
-// results bit-for-bit identical to one another and to the deprecated
-// Simulate/SimulateParallel/Stream entry points. Configuration and
-// metadata are validated synchronously; a ctx already cancelled returns
-// ctx.Err() immediately.
+// Replay is the library's single replay entry point: the engine mode
+// (streaming by default; batch for the in-memory reference path), the
+// reporting window, worker count and attached sinks are all Options, and
+// both modes produce per-swarm results and totals bit-for-bit identical
+// to one another. Configuration and metadata are validated
+// synchronously; a ctx already cancelled returns ctx.Err() immediately.
 func Replay(ctx context.Context, src Source, opts ...Option) (*Job, error) {
 	o := &replayOptions{cfg: engine.DefaultConfig(1.0)}
 	for _, opt := range opts {
@@ -300,7 +289,7 @@ func Replay(ctx context.Context, src Source, opts ...Option) (*Job, error) {
 			return nil, err
 		}
 		go j.pumpStream(ctx, run, o.sinks, o.stats)
-	case EngineBatch, EngineParallel:
+	case EngineBatch:
 		go j.runBatch(ctx, src, o)
 	default:
 		cancel()
@@ -360,9 +349,9 @@ func (j *Job) pumpStream(ctx context.Context, run *engine.Run, sinks []Sink, sta
 	j.finish(sinks, res, err)
 }
 
-// runBatch materialises the source and runs the in-memory simulator —
-// serial or parallel — emitting one final snapshot so sinks and channel
-// consumers see a uniform shape across modes.
+// runBatch materialises the source and runs the serial in-memory
+// simulator, emitting one final snapshot so sinks and channel consumers
+// see a uniform shape across modes.
 func (j *Job) runBatch(ctx context.Context, src Source, o *replayOptions) {
 	defer close(j.done)
 	defer close(j.snapshots)
@@ -385,19 +374,7 @@ func (j *Job) runBatch(ctx context.Context, src Source, o *replayOptions) {
 		o.stats.SourceSessions.Add(float64(len(tr.Sessions)))
 	}
 	settleStart := time.Now()
-	var res *SimResult
-	if o.mode == EngineParallel {
-		// Zero means the engine default, as WithWorkers documents (and
-		// as the streaming engine resolves it); per-swarm results are
-		// identical at any worker count, so defaulting is safe.
-		workers := o.cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		res, err = sim.RunParallelContext(ctx, tr, o.cfg.Sim, workers)
-	} else {
-		res, err = sim.RunContext(ctx, tr, o.cfg.Sim)
-	}
+	res, err := sim.RunContext(ctx, tr, o.cfg.Sim)
 	if o.stats != nil {
 		o.stats.SettleSeconds.Add(time.Since(settleStart).Seconds())
 	}
@@ -443,7 +420,7 @@ func (j *Job) runBatch(ctx context.Context, src Source, o *replayOptions) {
 }
 
 // materialize collects a Source into an in-memory trace for the batch
-// engines, checking ctx between sessions. A TraceSource short-circuits
+// engine, checking ctx between sessions. A TraceSource short-circuits
 // to its backing trace.
 func materialize(ctx context.Context, src Source, meta TraceMeta) (*Trace, error) {
 	if ms, ok := src.(*memSource); ok {

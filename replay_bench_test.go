@@ -1,5 +1,5 @@
 // Benchmarks of the unified Replay API: the same 14-day workload driven
-// through the batch, parallel and streaming engines, with and without an
+// through the batch and streaming engines, with and without an
 // attached metrics sink, so the perf trajectory captures API-layer
 // overhead (job plumbing, snapshot fan-out, sink dispatch) separately
 // from the engines themselves (BenchmarkSimulatorMonth, BenchmarkStream).
@@ -55,10 +55,6 @@ func benchmarkReplay(b *testing.B, tr *consumelocal.Trace, opts ...consumelocal.
 
 func BenchmarkReplayBatch(b *testing.B) {
 	benchmarkReplay(b, benchReplayTrace(b), consumelocal.WithEngine(consumelocal.EngineBatch))
-}
-
-func BenchmarkReplayParallel(b *testing.B) {
-	benchmarkReplay(b, benchReplayTrace(b), consumelocal.WithEngine(consumelocal.EngineParallel))
 }
 
 func BenchmarkReplayStreaming(b *testing.B) {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -40,63 +41,38 @@ func assertSwarmsIdentical(t *testing.T, label string, got, want *consumelocal.S
 	}
 }
 
-// TestReplayModesMatchLegacyEntryPoints is the API-redesign cross-check:
-// every engine mode reached through Replay must reproduce its legacy
-// entry point bit for bit, per swarm and in total.
+// replayResult runs one Replay of tr to completion under opts.
+func replayResult(t testing.TB, tr *consumelocal.Trace, opts ...consumelocal.Option) *consumelocal.SimResult {
+	t.Helper()
+	job, err := consumelocal.Replay(context.Background(), consumelocal.TraceSource(tr), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestReplayModesMatchLegacyEntryPoints is the engines' cross-check
+// through the public API: the streaming engine, at one and at three
+// shard workers, must reproduce the batch reference bit for bit, per
+// swarm and in total.
 func TestReplayModesMatchLegacyEntryPoints(t *testing.T) {
 	tr := replayTestTrace(t)
-	simCfg := consumelocal.DefaultSimConfig(1.0)
+	simCfg := consumelocal.WithSimConfig(consumelocal.DefaultSimConfig(1.0))
 
-	legacyBatch, err := consumelocal.Simulate(tr, simCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyParallel, err := consumelocal.SimulateParallel(tr, simCfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyStreamRun, err := consumelocal.StreamTrace(tr, consumelocal.StreamConfig{Sim: simCfg, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyStream, err := legacyStreamRun.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	replayWith := func(opts ...consumelocal.Option) *consumelocal.SimResult {
-		t.Helper()
-		job, err := consumelocal.Replay(context.Background(), consumelocal.TraceSource(tr),
-			append([]consumelocal.Option{consumelocal.WithSimConfig(simCfg)}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
+	batch := replayResult(t, tr, simCfg, consumelocal.WithEngine(consumelocal.EngineBatch))
+	for _, workers := range []int{1, 3} {
+		stream := replayResult(t, tr, simCfg,
+			consumelocal.WithEngine(consumelocal.EngineStreaming), consumelocal.WithWorkers(workers))
+		label := fmt.Sprintf("streaming w=%d vs batch", workers)
+		assertSwarmsIdentical(t, label, stream, batch)
+		if stream.Total != batch.Total {
+			t.Fatalf("%s: total %+v != %+v", label, stream.Total, batch.Total)
 		}
-		res, err := job.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
 	}
-
-	batch := replayWith(consumelocal.WithEngine(consumelocal.EngineBatch))
-	parallel := replayWith(consumelocal.WithEngine(consumelocal.EngineParallel), consumelocal.WithWorkers(3))
-	stream := replayWith(consumelocal.WithEngine(consumelocal.EngineStreaming), consumelocal.WithWorkers(3))
-
-	assertSwarmsIdentical(t, "batch", batch, legacyBatch)
-	assertSwarmsIdentical(t, "parallel", parallel, legacyParallel)
-	assertSwarmsIdentical(t, "streaming", stream, legacyStream)
-	if batch.Total != legacyBatch.Total {
-		t.Fatalf("batch total %+v != legacy %+v", batch.Total, legacyBatch.Total)
-	}
-	if parallel.Total != legacyParallel.Total {
-		t.Fatalf("parallel total %+v != legacy %+v", parallel.Total, legacyParallel.Total)
-	}
-	if stream.Total != legacyStream.Total {
-		t.Fatalf("streaming total %+v != legacy %+v", stream.Total, legacyStream.Total)
-	}
-	// And the three modes agree with one another per swarm.
-	assertSwarmsIdentical(t, "parallel vs batch", parallel, batch)
-	assertSwarmsIdentical(t, "streaming vs batch", stream, batch)
 }
 
 // TestReplayCSVSourceMatchesTraceSource replays the CSV form of the same
@@ -119,10 +95,7 @@ func TestReplayCSVSourceMatchesTraceSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := consumelocal.Simulate(tr, consumelocal.DefaultSimConfig(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := replayResult(t, tr, consumelocal.WithEngine(consumelocal.EngineBatch))
 	assertSwarmsIdentical(t, "csv", got, want)
 }
 
@@ -404,7 +377,6 @@ func TestReplayModeString(t *testing.T) {
 	for mode, want := range map[consumelocal.EngineMode]string{
 		consumelocal.EngineStreaming: "streaming",
 		consumelocal.EngineBatch:     "batch",
-		consumelocal.EngineParallel:  "parallel",
 		consumelocal.EngineMode(7):   "mode-7",
 	} {
 		if got := mode.String(); got != want {
@@ -434,10 +406,7 @@ func TestReplaySourceErrorPropagates(t *testing.T) {
 }
 
 func TestParseEngineMode(t *testing.T) {
-	modes := []consumelocal.EngineMode{
-		consumelocal.EngineStreaming, consumelocal.EngineBatch, consumelocal.EngineParallel,
-	}
-	for _, want := range modes {
+	for _, want := range []consumelocal.EngineMode{consumelocal.EngineStreaming, consumelocal.EngineBatch} {
 		got, err := consumelocal.ParseEngineMode(want.String())
 		if err != nil {
 			t.Fatalf("ParseEngineMode(%q): %v", want.String(), err)
@@ -446,8 +415,10 @@ func TestParseEngineMode(t *testing.T) {
 			t.Fatalf("ParseEngineMode(%q) = %v, want %v", want.String(), got, want)
 		}
 	}
-	if _, err := consumelocal.ParseEngineMode("quantum"); err == nil {
-		t.Fatal("ParseEngineMode accepted an unknown mode")
+	for _, bad := range []string{"quantum", "parallel"} {
+		if _, err := consumelocal.ParseEngineMode(bad); err == nil {
+			t.Fatalf("ParseEngineMode accepted the unknown mode %q", bad)
+		}
 	}
 }
 
